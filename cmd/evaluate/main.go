@@ -52,17 +52,10 @@ func main() {
 	dup := flag.Float64("dup", 0, "robustness sweep: per-packet duplication probability")
 	reorder := flag.Float64("reorder", 0, "robustness sweep: per-packet reordering probability")
 	jitter := flag.Duration("jitter", 0, "robustness sweep: max random extra delivery delay (e.g. 3ms)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
-	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
+	diag := profiling.Register("write a structured run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
 	eval.SetWorkers(*workers)
-	if *metrics || *manifest != "" {
-		obs.SetEnabled(true)
-		obs.Reset()
-	}
-	stopCPU := profiling.Start(*cpuprofile)
+	diag.Start()
 	start := time.Now()
 
 	any := false
@@ -102,32 +95,20 @@ func main() {
 		runExperiment("all", *trials)
 	}
 	fmt.Printf("\n[workers=%d  wall=%s]\n", eval.Workers(), time.Since(start).Round(time.Millisecond))
-	if *metrics {
-		fmt.Printf("\n--- metrics ---\n%s", obs.Take().Format())
+	cfg := map[string]string{
+		"trials":     strconv.Itoa(*trials),
+		"workers":    strconv.Itoa(*workers),
+		"table":      *table,
+		"figure":     *figure,
+		"experiment": *experiment,
+		"loss":       strconv.FormatFloat(*loss, 'g', -1, 64),
+		"dup":        strconv.FormatFloat(*dup, 'g', -1, 64),
+		"reorder":    strconv.FormatFloat(*reorder, 'g', -1, 64),
+		"jitter":     jitter.String(),
 	}
-	if *manifest != "" {
-		cfg := map[string]string{
-			"trials":     strconv.Itoa(*trials),
-			"workers":    strconv.Itoa(*workers),
-			"table":      *table,
-			"figure":     *figure,
-			"experiment": *experiment,
-			"loss":       strconv.FormatFloat(*loss, 'g', -1, 64),
-			"dup":        strconv.FormatFloat(*dup, 'g', -1, 64),
-			"reorder":    strconv.FormatFloat(*reorder, 'g', -1, 64),
-			"jitter":     jitter.String(),
-		}
-		// The harness's experiment seed bases are fixed in source; the
-		// schedule records the derivation every trial applies to its base.
-		m := obs.NewManifest("evaluate", cfg, obs.DefaultSeedSchedule(0))
-		if err := m.WriteFile(*manifest); err != nil {
-			fmt.Fprintf(os.Stderr, "writing manifest: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("manifest written to %s\n", *manifest)
-	}
-	stopCPU()
-	profiling.WriteHeap(*memprofile)
+	// The harness's experiment seed bases are fixed in source; the schedule
+	// records the derivation every trial applies to its base.
+	diag.Finish(obs.NewManifest("evaluate", cfg, obs.DefaultSeedSchedule(0)), profiling.PrintMetrics)
 }
 
 func header(s string) { fmt.Printf("\n=== %s ===\n\n", s) }

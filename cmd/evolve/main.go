@@ -40,17 +40,9 @@ func main() {
 	seed := flag.Int64("seed", 0, "RNG seed")
 	minimize := flag.Bool("minimize", true, "prune the winner while fitness holds")
 	workers := flag.Int("workers", 0, "population-evaluation workers (0 = one per CPU); any width gives the same result")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
-	manifest := flag.String("manifest", "", "write a structured run manifest (JSON) to this file; implies -metrics")
+	diag := profiling.Register("write a structured run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
-
-	if *metrics || *manifest != "" {
-		obs.SetEnabled(true)
-		obs.Reset()
-	}
-	stopCPU := profiling.Start(*cpuprofile)
+	diag.Start()
 
 	fmt.Printf("Evolving server-side strategies against %s / %s (population %d, <= %d generations, %d trials/individual)\n\n",
 		*country, *protocol, *population, *generations, *trials)
@@ -93,27 +85,15 @@ func main() {
 		Seed:     *seed + 100000,
 	}, 200)
 	fmt.Printf("Confirmed success rate over 200 fresh trials: %.0f%%\n", 100*confirm)
-	if *metrics {
-		fmt.Printf("\n--- metrics ---\n%s", obs.Take().Format())
+	cfg := map[string]string{
+		"country":     *country,
+		"protocol":    *protocol,
+		"population":  strconv.Itoa(*population),
+		"generations": strconv.Itoa(*generations),
+		"trials":      strconv.Itoa(*trials),
+		"workers":     strconv.Itoa(*workers),
+		"minimize":    strconv.FormatBool(*minimize),
+		"best":        best.String(),
 	}
-	if *manifest != "" {
-		cfg := map[string]string{
-			"country":     *country,
-			"protocol":    *protocol,
-			"population":  strconv.Itoa(*population),
-			"generations": strconv.Itoa(*generations),
-			"trials":      strconv.Itoa(*trials),
-			"workers":     strconv.Itoa(*workers),
-			"minimize":    strconv.FormatBool(*minimize),
-			"best":        best.String(),
-		}
-		m := obs.NewManifest("evolve", cfg, obs.DefaultSeedSchedule(*seed))
-		if err := m.WriteFile(*manifest); err != nil {
-			fmt.Fprintf(os.Stderr, "writing manifest: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("manifest written to %s\n", *manifest)
-	}
-	stopCPU()
-	profiling.WriteHeap(*memprofile)
+	diag.Finish(obs.NewManifest("evolve", cfg, obs.DefaultSeedSchedule(*seed)), profiling.PrintMetrics)
 }

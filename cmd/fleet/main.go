@@ -88,17 +88,9 @@ func main() {
 	reorder := flag.Float64("reorder", 0, "per-packet reordering probability")
 	jitter := flag.Duration("jitter", 0, "max random extra delivery delay (e.g. 3ms)")
 	asJSON := flag.Bool("json", false, "print the full FleetResult as JSON instead of the table")
-	metrics := flag.Bool("metrics", false, "enable cross-layer counters and print the nonzero ones after the run")
-	manifest := flag.String("manifest", "", "write the run manifest (JSON) to this file; implies -metrics")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
+	diag := profiling.Register("write the run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
-
-	if *metrics || *manifest != "" {
-		obs.SetEnabled(true)
-		obs.Reset()
-	}
-	stopCPU := profiling.Start(*cpuprofile)
+	diag.Start()
 	d := geneva.Deployment{
 		Connections:        *connections,
 		ClientsPerCell:     *clients,
@@ -112,9 +104,9 @@ func main() {
 			Backoff:     *reconnectBackoff,
 			RetryAll:    *retryAll,
 		},
-		Seed: *seed,
-		Workers:            *workers,
-		Shards:             *shards,
+		Seed:    *seed,
+		Workers: *workers,
+		Shards:  *shards,
 		Impairments: geneva.Impairments{
 			Loss: *loss, Duplicate: *dup, Reorder: *reorder, Jitter: *jitter,
 		},
@@ -169,16 +161,7 @@ func main() {
 	} else {
 		printTable(res)
 	}
-	if *manifest != "" {
-		if err := res.Manifest.WriteFile(*manifest); err != nil {
-			fmt.Fprintln(os.Stderr, "fleet:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("manifest written to %s\n", *manifest)
-	}
-	if *metrics {
-		printCounters()
-	}
+	diag.Finish(res.Manifest, printCounters)
 	// Rate from the unrounded elapsed time: at 10^5+ connections a run can
 	// finish in near-millisecond territory per cell, and rounding before
 	// dividing (or dividing by a zero-rounded duration) skews the only
@@ -190,8 +173,6 @@ func main() {
 	fmt.Printf("\n%d connections in %d cells in %v (%s conns/sec, workers=%d, shards=%d)\n",
 		res.Connections, res.Cells, elapsed.Round(time.Millisecond),
 		rate, *workers, *shards)
-	stopCPU()
-	profiling.WriteHeap(*memprofile)
 }
 
 // parsePortfolio resolves a ";"-separated strategy list: each entry is a raw
@@ -300,8 +281,7 @@ func printSelection(res geneva.FleetResult, countries []string) {
 	}
 }
 
-func printCounters() {
-	s := obs.Take()
+func printCounters(s obs.Snapshot) {
 	names := make([]string, 0, len(s.Counters))
 	for n, v := range s.Counters {
 		if v != 0 {

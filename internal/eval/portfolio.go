@@ -8,13 +8,6 @@ import (
 	"geneva/internal/selector"
 )
 
-// SeedArmBase offsets each portfolio arm's engine rng within a cell's seed
-// space: arm a draws from cellSeed + SeedArmBase + a. The base sits far
-// above every other per-cell stream (server/router/censor/impairments at
-// 1–4, selection at 5, client slots at 10..260), so arm streams can never
-// collide with them. Recorded in the fleet manifest when selection is on.
-const SeedArmBase = 1000
-
 // DefaultPortfolio returns the distinct §8 deployment strategies in
 // registry order — Strategy 1 (China), Strategy 8 (India/Iran/
 // Turkmenistan), Strategy 11 (Kazakhstan) with today's registry. It is the
@@ -25,12 +18,12 @@ func DefaultPortfolio() selector.Portfolio {
 	var strats []*core.Strategy
 	seen := map[string]bool{}
 	for _, dr := range deployTable() {
-		s := dr.strat.String()
+		s := dr.portfolio.Name(0)
 		if seen[s] {
 			continue
 		}
 		seen[s] = true
-		strats = append(strats, dr.strat)
+		strats = append(strats, dr.portfolio.Strategy(0))
 	}
 	return selector.FromStrategies(strats)
 }
@@ -41,7 +34,7 @@ func DefaultPortfolio() selector.Portfolio {
 type PortfolioLease struct {
 	Engines []*core.Engine
 	rngs    []*rand.Rand
-	hash    string
+	pool    *sync.Pool // the pool of this lease's portfolio
 }
 
 // portfolioPools pools engine sets per portfolio identity (hash). Engine
@@ -51,28 +44,31 @@ type PortfolioLease struct {
 var portfolioPools sync.Map // hash -> *sync.Pool
 
 // AcquirePortfolioEngines leases one engine per portfolio arm, rng-seeded
-// at seed + SeedArmBase + arm. Reseeding a pooled engine's rng recreates
-// the exact stream of a fresh one (engines keep no other per-run state —
-// flow pinning lives in the router), so a leased set is indistinguishable
-// from newly built engines. Hand it back with ReleasePortfolioEngines.
+// at seed + arm: seed is the stream of arm 0, and the caller owns the seed
+// schedule around it. Reseeding a pooled engine's rng recreates the exact
+// stream of a fresh one (engines keep no other per-run state — flow
+// pinning lives in the router), so a leased set is indistinguishable from
+// newly built engines. Hand it back with ReleasePortfolioEngines.
 func AcquirePortfolioEngines(p selector.Portfolio, seed int64) *PortfolioLease {
-	hash := p.Hash()
-	poolAny, _ := portfolioPools.LoadOrStore(hash, &sync.Pool{})
+	poolAny, ok := portfolioPools.Load(p.Hash())
+	if !ok {
+		poolAny, _ = portfolioPools.LoadOrStore(p.Hash(), &sync.Pool{})
+	}
 	pool := poolAny.(*sync.Pool)
 	if v := pool.Get(); v != nil {
 		l := v.(*PortfolioLease)
 		for a := range l.rngs {
-			l.rngs[a].Seed(seed + SeedArmBase + int64(a))
+			l.rngs[a].Seed(seed + int64(a))
 		}
 		return l
 	}
 	l := &PortfolioLease{
 		Engines: make([]*core.Engine, p.Len()),
 		rngs:    make([]*rand.Rand, p.Len()),
-		hash:    hash,
+		pool:    pool,
 	}
 	for a := 0; a < p.Len(); a++ {
-		l.rngs[a] = rand.New(rand.NewSource(seed + SeedArmBase + int64(a)))
+		l.rngs[a] = rand.New(rand.NewSource(seed + int64(a)))
 		l.Engines[a] = core.NewEngine(p.Strategy(a), l.rngs[a])
 	}
 	return l
@@ -84,6 +80,5 @@ func ReleasePortfolioEngines(l *PortfolioLease) {
 	if l == nil {
 		return
 	}
-	poolAny, _ := portfolioPools.LoadOrStore(l.hash, &sync.Pool{})
-	poolAny.(*sync.Pool).Put(l)
+	l.pool.Put(l)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"geneva/internal/core"
+	"geneva/internal/selector"
 	"geneva/internal/tcpstack"
 )
 
@@ -30,13 +31,14 @@ func routerClientAddr(country string) netip.Addr {
 }
 
 // deployRoute is one row of the §8 deployment table: a country prefix, the
-// strategy the paper would pick for it, and the rng-seed offset (the
-// strategy's paper number) that pins the route's random stream to the
-// strategy rather than to installation order.
+// strategy the paper would pick for it as a one-arm portfolio, and the
+// rng-seed offset (the strategy's paper number) that pins the route's
+// random stream to the strategy rather than to installation order.
 type deployRoute struct {
-	prefix netip.Prefix
-	strat  *core.Strategy
-	offset int64
+	country   string
+	prefix    netip.Prefix
+	portfolio selector.Portfolio
+	offset    int64
 }
 
 var (
@@ -46,21 +48,34 @@ var (
 
 // deployTable parses and compiles the deployment strategies exactly once,
 // in a fixed order. The *core.Strategy values are shared read-only by every
-// router built from the table (engines compile their own rule copies);
-// String() is pre-memoized so the sharing is race-free.
+// router and engine built from the table (engines compile their own rule
+// copies); building the portfolio memoizes String(), so the sharing is
+// race-free.
 func deployTable() []deployRoute {
 	deployOnce.Do(func() {
 		for _, d := range censorRegistry {
-			cs := d.Deploy.Parse()
-			_ = cs.String()
 			deployRoutes = append(deployRoutes, deployRoute{
-				prefix: d.RouterPrefix,
-				strat:  cs,
-				offset: int64(d.Deploy.Number),
+				country:   d.Country,
+				prefix:    d.RouterPrefix,
+				portfolio: selector.FromStrategies([]*core.Strategy{d.Deploy.Parse()}),
+				offset:    int64(d.Deploy.Number),
 			})
 		}
 	})
 	return deployRoutes
+}
+
+// DeployPortfolio returns the strategy the §8 deployment serves a country,
+// as a one-arm portfolio, with the rng-seed offset of its engine (the
+// strategy's paper number). ok is false for a country the deployment does
+// not route (CountryNone).
+func DeployPortfolio(country string) (p selector.Portfolio, offset int64, ok bool) {
+	for _, dr := range deployTable() {
+		if dr.country == country {
+			return dr.portfolio, dr.offset, true
+		}
+	}
+	return selector.Portfolio{}, 0, false
 }
 
 // NewDeploymentRouter builds the §8 deployment: one router serving clients
@@ -71,50 +86,9 @@ func deployTable() []deployRoute {
 func NewDeploymentRouter(seed int64) *core.Router {
 	r := core.NewRouter(nil)
 	for _, dr := range deployTable() {
-		r.Route(dr.prefix, dr.strat, rand.New(rand.NewSource(seed+dr.offset)))
+		r.Route(dr.prefix, dr.portfolio.Strategy(0), rand.New(rand.NewSource(seed+dr.offset)))
 	}
 	return r
-}
-
-// RouterLease is a pooled deployment router (see AcquireDeploymentRouter).
-type RouterLease struct {
-	Router *core.Router
-	rngs   []*rand.Rand
-}
-
-// routerPool recycles deployment routers across cells: strategy parsing,
-// rule compilation, and engine construction are identical for every lease,
-// so only the per-run state — flow pins and rng streams — is reset on reuse.
-var routerPool sync.Pool
-
-// AcquireDeploymentRouter returns a deployment router identical in behaviour
-// to NewDeploymentRouter(seed) — same routes, same per-strategy rng streams
-// — but recycled through a pool. Callers hand it back with
-// ReleaseDeploymentRouter once the simulation using it has been torn down.
-func AcquireDeploymentRouter(seed int64) *RouterLease {
-	table := deployTable()
-	if v := routerPool.Get(); v != nil {
-		l := v.(*RouterLease)
-		l.Router.ResetFlows()
-		for i := range table {
-			l.rngs[i].Seed(seed + table[i].offset)
-		}
-		return l
-	}
-	l := &RouterLease{Router: core.NewRouter(nil), rngs: make([]*rand.Rand, len(table))}
-	for i, dr := range table {
-		l.rngs[i] = rand.New(rand.NewSource(seed + dr.offset))
-		l.Router.Route(dr.prefix, dr.strat, l.rngs[i])
-	}
-	return l
-}
-
-// ReleaseDeploymentRouter returns a lease to the pool. The caller must not
-// use the router afterwards.
-func ReleaseDeploymentRouter(l *RouterLease) {
-	if l != nil {
-		routerPool.Put(l)
-	}
 }
 
 // RouterDeployment runs the §8 scenario: the SAME router serves clients in

@@ -4,9 +4,9 @@
 // strategy from nothing but the address in its SYN.
 //
 // The workload is partitioned into cells. A cell is one shared virtual
-// network — one censor instance, one server running the deployment router,
-// and several client endpoints inside the same country — on which
-// connections run in waves of genuinely concurrent flows (their packets
+// network — one censor instance, one server whose core.Router serves routed
+// clients their strategy, and several client endpoints inside the same
+// country — on which connections run in waves of genuinely concurrent flows (their packets
 // interleave through the same censor, so per-flow TCB isolation and
 // cross-connection censor state are exercised for real: a GFW residual
 // window opened by one client's censored flow tears down other clients'
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,6 +46,7 @@ import (
 
 	"geneva/internal/apps"
 	"geneva/internal/censor"
+	"geneva/internal/core"
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
@@ -61,13 +63,15 @@ const cellSeedStride = 100003
 // documents how to reproduce the run.
 const (
 	seedServer      = 1  // server endpoint ISN/port rng
-	seedRouter      = 2  // base for the router's per-strategy engine rngs
+	seedRouter      = 2  // registry-pinned arm: seedRouter + its strategy number
 	seedCensor      = 3  // censor model rng
 	seedImpairments = 4  // network impairment schedule
 	seedSelector    = 5  // strategy-selection exploration rng (when enabled)
 	seedClients     = 10 // client endpoint s uses seedClients + s
-	// Portfolio arm a's engine rng sits at eval.SeedArmBase + a (1000+),
-	// far above the client slots.
+	// seedArmBase places a run-wide portfolio's arm a at seedArmBase + a,
+	// far above the client slots (10..260), so arm streams never collide
+	// with any other per-cell stream.
+	seedArmBase = 1000
 )
 
 // defaultWaveGap is the virtual idle time between waves of a cell: long
@@ -129,7 +133,8 @@ type Workload struct {
 	Shards int
 	// Impairments degrades every cell network symmetrically in both
 	// directions and arms endpoint retransmission; the zero value keeps
-	// the links lossless.
+	// the links lossless. Loss, Duplicate and Reorder are probabilities in
+	// [0,1]; Jitter must not be negative.
 	Impairments netsim.Profile
 	// SessionRequests is the number of keep-alive request/response exchanges
 	// each connection carries (default 1, the classic one-shot session).
@@ -151,15 +156,14 @@ type Workload struct {
 	// protocol's eval.TriesFor budget.
 	Reconnect ReconnectPolicy
 	// Portfolio is the ordered strategy list routed clients are served
-	// from. Zero value (with Selection also unset): the historical §8
-	// router, one registry-pinned strategy per country, byte-identical to
-	// builds without the control plane. Set without Selection: every routed
-	// client gets the portfolio's FIRST strategy — single-strategy use as a
-	// one-element portfolio. Set with Selection: the bandit picks an arm
-	// per connection attempt.
+	// from: each connection attempt gets one arm, arm 0 unless Selection
+	// picks another. Zero value (with Selection also unset): every country
+	// is served a one-arm portfolio of its §8 registry strategy
+	// (eval.DeployPortfolio), byte-identical to pre-control-plane builds.
 	Portfolio selector.Portfolio
-	// Selection enables the online strategy-selection control plane. Zero
-	// value: disabled (see Portfolio). When enabled with a zero Portfolio,
+	// Selection enables the online strategy-selection control plane: the
+	// bandit picks each attempt's arm and is rewarded with its outcome.
+	// Zero value: disabled, arm 0 always. Enabled with a zero Portfolio,
 	// the distinct §8 deployment strategies (eval.DefaultPortfolio) are the
 	// arms. Selector state merges at wave barriers in stable cell order, so
 	// results stay bit-identical at any Workers × Shards.
@@ -176,9 +180,11 @@ type Workload struct {
 // implements censor.ParamShifter.
 type CensorShift struct {
 	// AtWave is the wave index at whose start the shift applies (0 = from
-	// the beginning). Waves 0..AtWave-1 run the calibrated parameters.
+	// the beginning; negative is rejected). Waves 0..AtWave-1 run the
+	// calibrated parameters.
 	AtWave int
-	// Country restricts the shift to one country's cells ("" = all).
+	// Country restricts the shift to one country's cells ("" = all). It
+	// must be one of the workload's Countries.
 	Country string
 	// Params maps parameter names to new values, bare ("prst") or
 	// protocol-scoped ("http.prst") — see censor.ParamShifter. nil
@@ -196,12 +202,13 @@ func (cs CensorShift) Enabled() bool { return len(cs.Params) > 0 }
 type ReconnectPolicy struct {
 	// MaxAttempts caps total connection attempts per planned connection,
 	// reconnects included (0 = the protocol's eval.TriesFor budget, the
-	// historical default; 1 = give up after the first failure).
+	// historical default; 1 = give up after the first failure; negative is
+	// rejected).
 	MaxAttempts int
 	// Backoff is the virtual time a client waits before each reconnect
-	// (0 = reconnect immediately). Against censors with expiring state,
-	// backoff is the difference between reconnecting *into* a residual
-	// window and reconnecting after it lapses.
+	// (0 = reconnect immediately; negative is rejected). Against censors
+	// with expiring state, backoff is the difference between reconnecting
+	// *into* a residual window and reconnecting after it lapses.
 	Backoff time.Duration
 	// RetryAll reconnects after any failure — blackholed, corrupted, or
 	// never-established attempts included — not only after an abortive
@@ -419,8 +426,8 @@ func (wl Workload) withDefaults() Workload {
 	return wl
 }
 
-// validate rejects workloads the harness cannot simulate, with errors that
-// name the valid values.
+// validate rejects workloads the harness cannot simulate or would silently
+// ignore part of, with errors that name the field and the valid values.
 func (wl Workload) validate() error {
 	for _, c := range wl.Countries {
 		if !eval.ValidCountry(c) {
@@ -440,38 +447,52 @@ func (wl Workload) validate() error {
 			return fmt.Errorf("fleet: %w", err)
 		}
 	}
+	if c := wl.Shift.Country; c != "" && !slices.Contains(wl.Countries, c) {
+		return fmt.Errorf("fleet: Shift.Country: %w %q (not among Countries %q)", eval.ErrUnknownCountry, c, wl.Countries)
+	}
+	if wl.Shift.AtWave < 0 {
+		return fmt.Errorf("fleet: Shift.AtWave %d is negative", wl.Shift.AtWave)
+	}
+	if wl.Reconnect.MaxAttempts < 0 {
+		return fmt.Errorf("fleet: Reconnect.MaxAttempts %d is negative", wl.Reconnect.MaxAttempts)
+	}
+	if wl.Reconnect.Backoff < 0 {
+		return fmt.Errorf("fleet: Reconnect.Backoff %v is negative", wl.Reconnect.Backoff)
+	}
+	im := wl.Impairments
+	for i, p := range []float64{im.Loss, im.Duplicate, im.Reorder} {
+		if !(p >= 0 && p <= 1) { // NaN fails too
+			return fmt.Errorf("fleet: Impairments.%s %g is not a probability in [0,1]",
+				[...]string{"Loss", "Duplicate", "Reorder"}[i], p)
+		}
+	}
+	if im.Jitter < 0 {
+		return fmt.Errorf("fleet: Impairments.Jitter %v is negative", im.Jitter)
+	}
 	return nil
 }
 
 // control is the run's resolved strategy-delivery mode.
 type control struct {
-	// portfolio is the arm list (zero when the run uses the historical
-	// registry-pinned router).
+	// portfolio is the run-wide arm list; zero on registry-pinned runs,
+	// whose cells are each served their country's one-arm deployment
+	// portfolio instead.
 	portfolio selector.Portfolio
 	// state is the merged bandit state; nil when Selection is disabled
-	// (a non-zero portfolio then pins its first strategy everywhere).
+	// (arm 0 then serves every attempt).
 	state *selector.State
-	// active is true whenever a portfolio routes clients (pinned or
-	// selected) — i.e. whenever the historical router is overridden.
-	active bool
 }
 
-// resolveControl interprets the Portfolio × Selection matrix. Both unset:
-// historical behaviour, untouched. Selection without a portfolio races the
-// distinct §8 deployment strategies against each other.
+// resolveControl interprets the Portfolio × Selection matrix. Selection
+// without a portfolio races the distinct §8 deployment strategies against
+// each other.
 func resolveControl(wl Workload) control {
-	var ctl control
-	switch {
-	case wl.Selection.Enabled():
-		ctl.portfolio = wl.Portfolio
+	ctl := control{portfolio: wl.Portfolio}
+	if wl.Selection.Enabled() {
 		if ctl.portfolio.IsZero() {
 			ctl.portfolio = eval.DefaultPortfolio()
 		}
 		ctl.state = selector.NewState(wl.Selection, ctl.portfolio.Len())
-		ctl.active = true
-	case !wl.Portfolio.IsZero():
-		ctl.portfolio = wl.Portfolio
-		ctl.active = true
 	}
 	return ctl
 }
@@ -559,7 +580,7 @@ type inflight struct {
 	app       *apps.Script
 	connectAt time.Duration // virtual time the attempt's SYN left
 	exchanges int           // exchanges this attempt's script carries
-	arm       int           // portfolio arm serving the attempt (-1 = none)
+	arm       int           // portfolio arm serving the attempt
 }
 
 // scriptKey identifies one client-script shape: scripts of the same protocol
@@ -597,15 +618,16 @@ type cell struct {
 	resid     censor.ResidualCarrier // non-nil iff the censor shares residual state
 	shifter   censor.ParamShifter    // non-nil iff the censor can shift mid-run
 	shifted   bool
-	lease     *eval.RouterLease
+	router    *core.Router // pooled, route-free: delivery is by PinClient
 	rngs      []*rand.Rand
 
-	// Online selection control plane; all nil/unset on pinned runs (and on
-	// unrouted-country cells — the uncensored population matches no route,
-	// so no server-side strategy applies to it either way).
-	armLease *eval.PortfolioLease
-	selCell  *selector.Cell
-	selRng   *rand.Rand
+	// Strategy delivery: one engine per portfolio arm, nil on unrouted
+	// cells (the uncensored population matches no route, so no server-side
+	// strategy applies to it). selCell and selRng are nil unless Selection
+	// is enabled.
+	arms    *eval.PortfolioLease
+	selCell *selector.Cell
+	selRng  *rand.Rand
 
 	byWave  [][]int // wave -> indices into plan.conns (contiguous from 0)
 	res     cellResult
@@ -630,39 +652,38 @@ func (c *cell) rng(seed int64) *rand.Rand {
 	return r
 }
 
-// newCell wires one cell — server + pooled deployment router, censor,
-// clients — without running anything. The construction order (and thus
-// every rng draw) is exactly the plan order, never scheduling order.
+// routerPool recycles the cells' route-free routers; ResetFlows at release
+// leaves only the flow-cache and pin-map capacity behind.
+var routerPool = sync.Pool{New: func() any { return core.NewRouter(nil) }}
+
+// newCell wires one cell — server + pooled router and portfolio engines,
+// censor, clients — without running anything. The construction order (and
+// thus every rng draw) is exactly the plan order, never scheduling order.
 func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	c := &cell{wl: wl, plan: cp}
 	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
 
 	c.server = tcpstack.NewEndpoint(eval.ServerAddr, tcpstack.DefaultServer, c.rng(cellSeed+seedServer))
-	c.lease = eval.AcquireDeploymentRouter(cellSeed + seedRouter)
-	c.server.Outbound = c.lease.Router.Outbound
+	c.router = routerPool.Get().(*core.Router)
+	c.server.Outbound = c.router.Outbound
 	c.server.ReleaseClosed = true
 
-	// Portfolio delivery: routed countries get one engine per arm, seeded
-	// per cell at cellSeed + eval.SeedArmBase + arm. With selection, arms
-	// are pinned to client addresses per attempt in runWave; without it
-	// (portfolio-pinned mode) every routed slot is pinned to arm 0 here,
-	// once. Unrouted countries (the uncensored population) keep matching
-	// no route — the server doesn't know them, selected or not.
-	if _, routed := eval.RouterPrefixes[cp.country]; ctl.active && routed {
-		c.armLease = eval.AcquirePortfolioEngines(ctl.portfolio, cellSeed)
+	// Routed countries get one engine per portfolio arm; pullArm pins the
+	// attempt's arm to the client's address before each connect. A
+	// registry-pinned run serves the country's one-arm deployment
+	// portfolio, seeded by strategy number so the stream is a function of
+	// the strategy, never of country order. Unrouted countries (the
+	// uncensored population) get nothing: the server does not know them,
+	// so no strategy applies.
+	if p, offset, ok := eval.DeployPortfolio(cp.country); ok {
+		seed := cellSeed + seedRouter + offset
+		if !ctl.portfolio.IsZero() {
+			p, seed = ctl.portfolio, cellSeed+seedArmBase
+		}
+		c.arms = eval.AcquirePortfolioEngines(p, seed)
 		if ctl.state != nil {
 			c.selCell = ctl.state.NewCell()
 			c.selRng = c.rng(cellSeed + seedSelector)
-		} else {
-			pinned := map[int]bool{}
-			for _, cn := range cp.conns {
-				if cn.unprotected || pinned[cn.slot] {
-					continue
-				}
-				pinned[cn.slot] = true
-				c.lease.Router.PinClient(clientAddr(cp.country, cn.slot, false),
-					c.armLease.Engines[0])
-			}
 		}
 	}
 
@@ -817,19 +838,22 @@ func (c *cell) releaseClient(key scriptKey, s *apps.Script) {
 	c.clientFree[key] = append(c.clientFree[key], s)
 }
 
-// pullArm asks the control plane for the arm serving one connection
-// attempt and pins its engine to the client's address, so the router
-// delivers it when the SYN+ACK opens the flow. Returns -1 (and touches
-// nothing) when selection is off for this cell or the client is
-// unprotected. Safe against concurrent wave-mates: each slot address has at
-// most one un-opened flow at a time, and opened flows cache their engine,
-// so re-pins never switch a strategy mid-connection.
+// pullArm picks the arm serving one connection attempt — arm 0, or the
+// selector's choice when selection is on — and pins its engine to the
+// client's address, so the router delivers it when the SYN+ACK opens the
+// flow. Unprotected clients and unrouted cells get no pin (and arm 0, which
+// nothing reads). Safe against concurrent wave-mates: each slot address has
+// at most one un-opened flow at a time, and opened flows cache their
+// engine, so re-pins never switch a strategy mid-connection.
 func (c *cell) pullArm(cn *connPlan) int {
-	if c.selCell == nil || cn.unprotected {
-		return -1
+	if c.arms == nil || cn.unprotected {
+		return 0
 	}
-	arm := c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
-	c.lease.Router.PinClient(clientAddr(c.plan.country, cn.slot, false), c.armLease.Engines[arm])
+	arm := 0
+	if c.selCell != nil {
+		arm = c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
+	}
+	c.router.PinClient(clientAddr(c.plan.country, cn.slot, false), c.arms.Engines[arm])
 	return arm
 }
 
@@ -907,7 +931,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 		for _, f := range live {
 			r := &c.res.conns[f.idx]
 			cn := &c.plan.conns[f.idx]
-			if f.arm >= 0 {
+			if c.selCell != nil && !cn.unprotected {
 				// Credit the settled attempt back to the arm that served
 				// it — the control plane's per-attempt reward signal.
 				switch {
@@ -998,7 +1022,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 }
 
 // finish closes the cell out: stamp plans and censor totals into the
-// result, and hand the pooled router and rngs back.
+// result, and hand the pooled router, engines and rngs back.
 func (c *cell) finish() cellResult {
 	for i := range c.res.conns {
 		c.res.conns[i].plan = c.plan.conns[i]
@@ -1006,10 +1030,10 @@ func (c *cell) finish() cellResult {
 	if c.cen != nil {
 		c.res.censorEvents = c.cen.CensoredCount()
 	}
-	eval.ReleaseDeploymentRouter(c.lease)
-	c.lease = nil
-	eval.ReleasePortfolioEngines(c.armLease)
-	c.armLease, c.selCell, c.selRng = nil, nil, nil
+	c.router.ResetFlows()
+	routerPool.Put(c.router)
+	eval.ReleasePortfolioEngines(c.arms)
+	c.router, c.arms, c.selCell, c.selRng = nil, nil, nil, nil
 	for i, r := range c.rngs {
 		rngPool.Put(r)
 		c.rngs[i] = nil
@@ -1285,12 +1309,12 @@ func manifest(wl Workload, cells int, ctl control) obs.Manifest {
 		"clients":     seedClients, // client slot s at clients + s
 	}
 	// Control-plane and censor-shift keys appear ONLY when those features
-	// are on: a pinned workload's manifest is byte-identical to builds that
-	// predate the control plane.
-	if ctl.active {
+	// are on: a registry-pinned workload's manifest is byte-identical to
+	// builds that predate the control plane.
+	if !ctl.portfolio.IsZero() {
 		cfg["portfolio"] = ctl.portfolio.Hash()
 		cfg["portfolio_size"] = strconv.Itoa(ctl.portfolio.Len())
-		streams["portfolio_arms"] = eval.SeedArmBase // arm a at SeedArmBase + a
+		streams["portfolio_arms"] = seedArmBase // arm a at seedArmBase + a
 	}
 	if ctl.state != nil {
 		sel := wl.Selection.WithDefaults()

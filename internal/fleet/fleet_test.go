@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"geneva/internal/eval"
+	"geneva/internal/netsim"
 	"geneva/internal/obs"
 )
 
@@ -192,6 +195,39 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := Run(Workload{ClientsPerCell: 300}); err == nil {
 		t.Error("oversized cell: want error, got nil")
+	}
+	// Inputs that used to be silently ignored (or silently acted as 0) are
+	// rejected, each with an error naming the offending field.
+	shift := map[string]float64{"prst": 0}
+	for _, tc := range []struct {
+		field string
+		wl    Workload
+	}{
+		{"Shift.Country", Workload{Countries: []string{eval.CountryChina},
+			Shift: CensorShift{Country: "atlantis", Params: shift}}},
+		{"Shift.Country", Workload{Countries: []string{eval.CountryChina},
+			Shift: CensorShift{Country: eval.CountryIran, Params: shift}}},
+		{"Shift.AtWave", Workload{Shift: CensorShift{AtWave: -1, Params: shift}}},
+		{"Reconnect.MaxAttempts", Workload{Reconnect: ReconnectPolicy{MaxAttempts: -3}}},
+		{"Reconnect.Backoff", Workload{Reconnect: ReconnectPolicy{Backoff: -time.Second}}},
+		{"Impairments.Loss", Workload{Impairments: netsim.Profile{Loss: 1.5}}},
+		{"Impairments.Loss", Workload{Impairments: netsim.Profile{Loss: math.NaN()}}},
+		{"Impairments.Duplicate", Workload{Impairments: netsim.Profile{Duplicate: -0.1}}},
+		{"Impairments.Reorder", Workload{Impairments: netsim.Profile{Reorder: 2}}},
+		{"Impairments.Jitter", Workload{Impairments: netsim.Profile{Jitter: -time.Millisecond}}},
+	} {
+		tc.wl.Connections = 8
+		_, err := Run(tc.wl)
+		if err == nil {
+			t.Errorf("%s: invalid value accepted", tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error does not name the field: %v", tc.field, err)
+		}
+		if tc.field == "Shift.Country" && !errors.Is(err, eval.ErrUnknownCountry) {
+			t.Errorf("%s: error does not wrap ErrUnknownCountry: %v", tc.field, err)
+		}
 	}
 }
 

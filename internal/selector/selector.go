@@ -61,6 +61,7 @@ import (
 type Portfolio struct {
 	strats []*core.Strategy
 	dsls   []string // canonical texts, memoized at construction
+	hash   string   // Hash, memoized at construction
 }
 
 // NewPortfolio parses and compiles each strategy, in order. Any strategy
@@ -79,6 +80,7 @@ func NewPortfolio(dsls ...string) (Portfolio, error) {
 		p.strats = append(p.strats, s)
 		p.dsls = append(p.dsls, s.String())
 	}
+	p.hash = hashDSLs(p.dsls)
 	return p, nil
 }
 
@@ -93,6 +95,7 @@ func FromStrategies(strats []*core.Strategy) Portfolio {
 		p.strats[i] = s
 		p.dsls[i] = s.String()
 	}
+	p.hash = hashDSLs(p.dsls)
 	return p
 }
 
@@ -118,11 +121,15 @@ func (p Portfolio) Strategies() []string {
 func (p Portfolio) Name(i int) string { return p.dsls[i] }
 
 // Hash is a stable FNV-64a digest of the canonical strategy texts in
-// order — the manifest's portfolio identity. Two portfolios hash equal iff
-// their canonical programs and order agree.
-func (p Portfolio) Hash() string {
+// order — the manifest's portfolio identity and the engine-pool key. Two
+// portfolios hash equal iff their canonical programs and order agree; the
+// zero value's hash is empty.
+func (p Portfolio) Hash() string { return p.hash }
+
+// hashDSLs computes Hash over canonical strategy texts.
+func hashDSLs(dsls []string) string {
 	h := fnv.New64a()
-	for _, d := range p.dsls {
+	for _, d := range dsls {
 		h.Write([]byte(d))
 		h.Write([]byte{0})
 	}
@@ -299,12 +306,12 @@ func (st *State) armsFor(k key) []armStats {
 // delta is a cell's intra-wave observation batch for one (key, arm):
 // plain integer counts, so the barrier fold is exact in any order.
 type delta struct {
-	k       key
-	arm     int
-	pulls   uint64
-	served  uint64
-	torn    uint64
-	unest   uint64
+	k      key
+	arm    int
+	pulls  uint64
+	served uint64
+	torn   uint64
+	unest  uint64
 }
 
 // Cell is one cell's view of the control plane for one wave: the barrier

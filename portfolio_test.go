@@ -30,13 +30,20 @@ func pinnedGolden(t *testing.T, d Deployment) []byte {
 	return append(b, '\n')
 }
 
-// TestFleetPinnedByteIdentity is the regression half of the control-plane
-// contract: a Deployment with Portfolio and Selection both unset must
-// reproduce the pre-control-plane FleetResult + manifest byte-for-byte. The
-// goldens under testdata/ were generated at the PR 9 tree, before
-// internal/selector existed, on the exact TestFleetDeterminism and
-// TestFleetDeterminismLongHorizon workload shapes.
+// TestFleetPinnedByteIdentity pins every strategy-delivery mode of the
+// fleet to a committed golden, byte for byte. The two registry-pinned
+// goldens (Portfolio and Selection both unset) predate the control plane;
+// they were generated before internal/selector existed, on the exact
+// TestFleetDeterminism and TestFleetDeterminismLongHorizon workload shapes.
+// The portfolio-pinned golden (a one-element Portfolio, Selection unset)
+// and the selection golden (the TestFleetSelectionDeterminism base) were
+// generated before the fleet's delivery paths were unified into one, so
+// they prove that unification changed no output.
 func TestFleetPinnedByteIdentity(t *testing.T) {
+	strategy2, err := NewPortfolio(Strategy2.DSL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		golden string
 		d      Deployment
@@ -57,6 +64,15 @@ func TestFleetPinnedByteIdentity(t *testing.T) {
 			Reconnect:       ReconnectPolicy{MaxAttempts: 3, Backoff: 50 * time.Second, RetryAll: true},
 			Seed:            1234,
 		}},
+		{"testdata/fleet_portfolio_pinned.json", Deployment{
+			Countries: []string{China, India, IndiaJio, IndiaVodafone, Iran,
+				Kazakhstan, Turkmenistan, NoCensor},
+			Protocols:   []string{"http", "https", "dns", "smtp"},
+			Connections: 128,
+			Seed:        1234,
+			Portfolio:   strategy2,
+		}},
+		{"testdata/fleet_selection.json", selectionDeployment(t)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
@@ -66,9 +82,29 @@ func TestFleetPinnedByteIdentity(t *testing.T) {
 			}
 			got := pinnedGolden(t, tc.d)
 			if string(got) != string(want) {
-				t.Errorf("pinned run diverged from the pre-control-plane golden %s:\n%s", tc.golden, got)
+				t.Errorf("fleet run diverged from the golden %s:\n%s", tc.golden, got)
 			}
 		})
+	}
+}
+
+// selectionDeployment is the control-plane workload the selection tests
+// share: a portfolio of three §8 strategies raced by the epsilon-greedy
+// bandit, with China's prst shifted to 0 at wave 2.
+func selectionDeployment(t *testing.T) Deployment {
+	t.Helper()
+	portfolio, err := NewPortfolio(Strategy1.DSL, Strategy2.DSL, Strategy11.DSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Deployment{
+		Countries:   []string{China, Kazakhstan, NoCensor},
+		Protocols:   []string{"http", "https"},
+		Connections: 96,
+		Seed:        1234,
+		Portfolio:   portfolio,
+		Selection:   Selection{Policy: EpsilonGreedy},
+		Shift:       CensorShift{AtWave: 2, Params: map[string]float64{"prst": 0}},
 	}
 }
 
@@ -78,19 +114,7 @@ func TestFleetPinnedByteIdentity(t *testing.T) {
 // wave barriers, and a mid-run censor shift — every new scheduling surface
 // this PR adds. UCB1 gets the same matrix on a reduced grid.
 func TestFleetSelectionDeterminism(t *testing.T) {
-	portfolio, err := NewPortfolio(Strategy1.DSL, Strategy2.DSL, Strategy11.DSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Deployment{
-		Countries:   []string{China, Kazakhstan, NoCensor},
-		Protocols:   []string{"http", "https"},
-		Connections: 96,
-		Seed:        1234,
-		Portfolio:   portfolio,
-		Selection:   Selection{Policy: EpsilonGreedy},
-		Shift:       CensorShift{AtWave: 2, Params: map[string]float64{"prst": 0}},
-	}
+	base := selectionDeployment(t)
 	encode := func(d Deployment, workers, shards int) string {
 		d.Workers = workers
 		d.Shards = shards
