@@ -34,6 +34,7 @@
 package geneva
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 
@@ -183,12 +184,15 @@ type Result struct {
 }
 
 // Run executes the simulation and returns the structured result. A
-// Simulation naming an unknown Country or Protocol returns a descriptive
-// error. Results are bit-identical for equal Simulations at any Workers
-// width.
+// Simulation naming an unknown Country or Protocol, or with an impossible
+// Impairments value, returns a descriptive error. Results are bit-identical
+// for equal Simulations at any Workers width.
 func Run(s Simulation) (Result, error) {
 	if err := eval.CheckCountryProtocol(s.Country, s.Protocol); err != nil {
 		return Result{}, err
+	}
+	if err := s.Impairments.Validate(); err != nil {
+		return Result{}, fmt.Errorf("Impairments.%w", err)
 	}
 	cfg := eval.Config{
 		Country:     s.Country,

@@ -1,9 +1,11 @@
 package geneva
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPublicParseAndEngine(t *testing.T) {
@@ -201,5 +203,24 @@ func TestRunRejectsUnknownCountryAndProtocol(t *testing.T) {
 	}
 	if _, err := RunDeployment(Deployment{Countries: []string{"narnia"}, Connections: 1}); err == nil {
 		t.Error("RunDeployment with unknown country: want error, got nil")
+	}
+	// Run checks impairment profiles exactly as RunDeployment does, naming
+	// the offending field.
+	for _, tc := range []struct {
+		field string
+		im    Impairments
+	}{
+		{"Impairments.Loss", Impairments{Loss: 1.5}},
+		{"Impairments.Loss", Impairments{Loss: math.NaN()}},
+		{"Impairments.Duplicate", Impairments{Duplicate: -0.1}},
+		{"Impairments.Reorder", Impairments{Reorder: 2}},
+		{"Impairments.Jitter", Impairments{Jitter: -time.Millisecond}},
+	} {
+		_, err := Run(Simulation{Country: China, Protocol: "http", Trials: 1, Impairments: tc.im})
+		if err == nil {
+			t.Errorf("%s: invalid value accepted", tc.field)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error does not name the field: %v", tc.field, err)
+		}
 	}
 }

@@ -175,20 +175,17 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 	if workers > len(todo) {
 		workers = len(todo)
 	}
-	if workers <= 1 {
-		// The population pool is idle, so each sample may fan its trials
-		// out on the per-trial pool in trial.go.
-		for j, i := range todo {
-			results[j] = e.sample(batch[i], true)
-		}
-	} else {
-		// Population-level parallelism: individuals run concurrently and
-		// each samples its trials sequentially, so the two pool layers
-		// never oversubscribe the CPUs.
-		RunParallel(workers, len(todo), func(j int) {
-			results[j] = e.sample(batch[todo[j]], false)
-		})
+	// With the population pool idle each sample may fan its trials out on
+	// the per-trial pool (0 = the process default); when individuals run
+	// concurrently each samples its trials on one worker, so the two pool
+	// layers never oversubscribe the CPUs.
+	trialWorkers := 0
+	if workers > 1 {
+		trialWorkers = 1
 	}
+	RunParallel(workers, len(todo), func(j int) {
+		results[j] = e.sample(batch[todo[j]], trialWorkers)
+	})
 
 	e.mu.Lock()
 	for j, i := range todo {
@@ -209,21 +206,16 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 }
 
 // sample measures a strategy's raw success rate — the pure function the
-// cache memoizes. trialPool selects whether the per-trial worker pool may
-// be used; the population pool passes false for itself to avoid
-// oversubscription.
-func (e *Evaluator) sample(s *core.Strategy, trialPool bool) float64 {
-	cfg := Config{
+// cache memoizes — with its trials on a pool of the given width.
+func (e *Evaluator) sample(s *core.Strategy, workers int) float64 {
+	return Rate(Config{
 		Country:  e.country,
 		Session:  SessionFor(e.country, e.protocol, true),
 		Strategy: s,
 		Tries:    TriesFor(e.protocol),
 		Seed:     e.seedBase,
-	}
-	if trialPool {
-		return Rate(cfg, e.trials)
-	}
-	return rateSequential(cfg, e.trials).Rate()
+		Workers:  workers,
+	}, e.trials)
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -272,35 +272,34 @@ func (r RateResult) Rate() float64 {
 // RateStats runs trials independent trials of cfg (varying the seed) and
 // returns the aggregated outcome counts. Trials share no state — every rig
 // is built from its own seed — so they run on a worker pool bounded by
-// cfg.Workers (0 = the process default); the result is identical to a
-// sequential run because every field is a commutative sum.
+// cfg.Workers (0 = the process default; 1 runs them inline, in order). Each
+// trial keeps only its counts, so its rig is garbage as soon as it settles,
+// and the fold is a commutative sum, identical at any width.
 func RateStats(cfg Config, trials int) RateResult {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = Workers()
 	}
-	if workers > trials {
-		workers = trials
-	}
-	if workers <= 1 {
-		return rateSequential(cfg, trials)
-	}
-	results := make([]Result, trials)
+	per := make([]RateResult, trials)
 	RunParallel(workers, trials, func(i int) {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*7919
-		results[i] = Run(c)
+		res := Run(c)
+		per[i] = RateResult{Trials: 1, Attempts: res.Attempts, CensorEvents: res.CensorEvents}
+		if res.Success {
+			per[i].Succeeded = 1
+		}
+		if res.Established {
+			per[i].Established = 1
+		}
 	})
-	out := RateResult{Trials: trials}
-	for i := range results {
-		if results[i].Success {
-			out.Succeeded++
-		}
-		if results[i].Established {
-			out.Established++
-		}
-		out.Attempts += results[i].Attempts
-		out.CensorEvents += results[i].CensorEvents
+	var out RateResult
+	for _, r := range per {
+		out.Trials += r.Trials
+		out.Succeeded += r.Succeeded
+		out.Established += r.Established
+		out.Attempts += r.Attempts
+		out.CensorEvents += r.CensorEvents
 	}
 	return out
 }
@@ -308,22 +307,4 @@ func RateStats(cfg Config, trials int) RateResult {
 // Rate is RateStats reduced to the success fraction.
 func Rate(cfg Config, trials int) float64 {
 	return RateStats(cfg, trials).Rate()
-}
-
-func rateSequential(cfg Config, trials int) RateResult {
-	out := RateResult{Trials: trials}
-	for i := 0; i < trials; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*7919
-		res := Run(c)
-		if res.Success {
-			out.Succeeded++
-		}
-		if res.Established {
-			out.Established++
-		}
-		out.Attempts += res.Attempts
-		out.CensorEvents += res.CensorEvents
-	}
-	return out
 }

@@ -2,7 +2,9 @@ package eval
 
 import (
 	"testing"
+	"time"
 
+	"geneva/internal/netsim"
 	"geneva/internal/strategies"
 )
 
@@ -173,5 +175,52 @@ func TestKazakhstanHTTPSInactive(t *testing.T) {
 	}
 	if !Run(cfg).Success {
 		t.Error("Kazakhstan HTTPS censorship should be inactive (§5.3)")
+	}
+}
+
+// TestRateStatsWidthInvariance pins every field of a RateResult, not just
+// the rate: trial, success, establishment, attempt and censor-event counts
+// must be identical at any worker width, on a retrying protocol (DNS, up to
+// three attempts per trial) and on an impaired path (retransmission timers
+// and seeded loss draws).
+func TestRateStatsWidthInvariance(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"dns-retries", Config{
+			Country: CountryChina,
+			Session: SessionFor(CountryChina, "dns", true),
+			Tries:   TriesFor("dns"),
+			Seed:    5,
+		}},
+		{"impaired", Config{
+			Country:  CountryChina,
+			Session:  SessionFor(CountryChina, "http", true),
+			Strategy: strategies.Strategy1.Parse(),
+			Tries:    TriesFor("http"),
+			Seed:     101,
+			Impairments: netsim.Symmetric(netsim.Profile{
+				Loss: 0.05, Duplicate: 0.02, Reorder: 0.02, Jitter: 2 * time.Millisecond,
+			}),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers = 1
+			want := RateStats(cfg, 24)
+			if want.Trials != 24 || want.Attempts < want.Trials {
+				t.Fatalf("incoherent counts at workers=1: %+v", want)
+			}
+			if tc.name == "dns-retries" && want.Attempts == want.Trials {
+				t.Errorf("no trial retried: %+v", want)
+			}
+			for _, w := range []int{2, 8} {
+				cfg.Workers = w
+				if got := RateStats(cfg, 24); got != want {
+					t.Errorf("workers=%d: %+v, want %+v", w, got, want)
+				}
+			}
+		})
 	}
 }

@@ -88,9 +88,9 @@ const defaultRequestGap = 30 * time.Second
 // sensible default; the exported fields mirror geneva.Deployment (the public
 // facade aliases this type).
 type Workload struct {
-	// Countries in the client mix (default: every registered censor, in
-	// registry order). eval.CountryNone adds an uncensored client
-	// population.
+	// Countries in the client mix, each at most once (default: every
+	// registered censor, in registry order). eval.CountryNone adds an
+	// uncensored client population.
 	Countries []string
 	// Protocols in the mix (default "http"); connections cycle through them.
 	Protocols []string
@@ -300,12 +300,38 @@ func (c CountryStats) MeanReconnectsToRecovery() float64 {
 	return float64(c.ReconnectsToRecover) / float64(c.Recoveries)
 }
 
-// Result is the structured outcome of a fleet run. It contains no
-// wall-clock measurements and no worker- or shard-width echo, so two runs
-// of the same Workload are bit-identical regardless of scheduling
-// (TestFleetDeterminism pins this).
+// add folds another tally into c, field by field. Selection is not summed:
+// Run fills it in from the control plane after the merge.
+func (c *CountryStats) add(o CountryStats) {
+	c.Connections += o.Connections
+	c.Succeeded += o.Succeeded
+	c.Routed += o.Routed
+	c.RoutedSucceeded += o.RoutedSucceeded
+	c.Contested += o.Contested
+	c.ContestedSucceeded += o.ContestedSucceeded
+	c.Unprotected += o.Unprotected
+	c.UnprotectedSucceeded += o.UnprotectedSucceeded
+	c.CensorEvents += o.CensorEvents
+	c.RequestsAttempted += o.RequestsAttempted
+	c.RequestsServed += o.RequestsServed
+	c.FirstAttemptSucceeded += o.FirstAttemptSucceeded
+	c.Reconnects += o.Reconnects
+	c.Recoveries += o.Recoveries
+	c.ReconnectsToRecover += o.ReconnectsToRecover
+	c.UptimeVirtual += o.UptimeVirtual
+	c.LifetimeVirtual += o.LifetimeVirtual
+}
+
+// Result is the structured outcome of a fleet run. Each connection is
+// counted once, into its country's CountryStats, when it settles; the fleet
+// totals and Outcomes are sums over PerCountry, and the fleet.* counters in
+// the Manifest are read off the finished Result. It contains no wall-clock
+// measurements and no worker- or shard-width echo, so two runs of the same
+// Workload are bit-identical regardless of scheduling (TestFleetDeterminism
+// pins this).
 type Result struct {
-	// Connections and Succeeded total the whole fleet.
+	// Connections and Succeeded total the whole fleet (sums over
+	// PerCountry).
 	Connections int `json:"connections"`
 	Succeeded   int `json:"succeeded"`
 	// RequestsAttempted/RequestsServed and the virtual uptime/lifetime sums
@@ -344,7 +370,6 @@ func (r Result) Availability() float64 {
 
 // connPlan is one planned connection.
 type connPlan struct {
-	global      int // stable global connection index
 	wave        int
 	slot        int // endpoint slot within the cell
 	unprotected bool
@@ -358,30 +383,13 @@ type cellPlan struct {
 	conns   []connPlan
 }
 
-// connResult is one connection's outcome.
-type connResult struct {
-	plan        connPlan
-	success     bool
-	established bool
-	attempts    int
-
-	// Long-horizon accounting.
-	planned      int  // exchanges the plan asked this connection to carry
-	served       int  // exchanges that arrived intact, across all attempts
-	firstSettled bool // the first attempt has settled (guards firstSuccess)
-	firstSuccess bool // the FIRST attempt served the whole session
-	startAt      time.Duration
-	uptime       time.Duration // Σ per-attempt SYN → last verified byte
-	lifetime     time.Duration // settle − start, floored at the planned span
-}
-
-// cellResult is one cell's outcome.
+// cellResult is one cell's running tally. runWave adds each connection to
+// it exactly once, at the moment the connection settles for good; nothing
+// per-connection outlives its wave.
 type cellResult struct {
-	country      string
-	conns        []connResult
-	censorEvents int
-	waves        int
-	maxWave      int // widest wave started (virtual-time concurrency)
+	stats         CountryStats
+	tornDown      int // established, then censored or corrupted
+	unestablished int // handshake never completed on any attempt
 }
 
 // withDefaults resolves the zero-value fields. It returns a copy; the
@@ -429,9 +437,12 @@ func (wl Workload) withDefaults() Workload {
 // validate rejects workloads the harness cannot simulate or would silently
 // ignore part of, with errors that name the field and the valid values.
 func (wl Workload) validate() error {
-	for _, c := range wl.Countries {
+	for i, c := range wl.Countries {
 		if !eval.ValidCountry(c) {
 			return fmt.Errorf("fleet: %w", eval.CheckCountryProtocol(c, wl.Protocols[0]))
+		}
+		if slices.Contains(wl.Countries[:i], c) {
+			return fmt.Errorf("fleet: Countries lists %q more than once", c)
 		}
 	}
 	for _, p := range wl.Protocols {
@@ -459,15 +470,8 @@ func (wl Workload) validate() error {
 	if wl.Reconnect.Backoff < 0 {
 		return fmt.Errorf("fleet: Reconnect.Backoff %v is negative", wl.Reconnect.Backoff)
 	}
-	im := wl.Impairments
-	for i, p := range []float64{im.Loss, im.Duplicate, im.Reorder} {
-		if !(p >= 0 && p <= 1) { // NaN fails too
-			return fmt.Errorf("fleet: Impairments.%s %g is not a probability in [0,1]",
-				[...]string{"Loss", "Duplicate", "Reorder"}[i], p)
-		}
-	}
-	if im.Jitter < 0 {
-		return fmt.Errorf("fleet: Impairments.Jitter %v is negative", im.Jitter)
+	if err := wl.Impairments.Validate(); err != nil {
+		return fmt.Errorf("fleet: Impairments.%w", err)
 	}
 	return nil
 }
@@ -518,7 +522,6 @@ func plan(wl Workload) []cellPlan {
 			for w := 0; w < wl.WavesPerCell && quota > 0; w++ {
 				for s := 0; s < wl.ClientsPerCell && quota > 0; s++ {
 					cell.conns = append(cell.conns, connPlan{
-						global:   global,
 						wave:     w,
 						slot:     s,
 						protocol: wl.Protocols[global%len(wl.Protocols)],
@@ -529,7 +532,6 @@ func plan(wl Workload) []cellPlan {
 				if w%2 == 1 {
 					for u := 0; u < wl.UnprotectedPerCell && quota > 0; u++ {
 						cell.conns = append(cell.conns, connPlan{
-							global:      global,
 							wave:        w,
 							slot:        wl.ClientsPerCell + u,
 							unprotected: true,
@@ -574,13 +576,22 @@ var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 // barrier.
 type residualLedger map[string]time.Duration
 
-// inflight is one connection attempt awaiting settlement in a wave.
+// inflight is one connection awaiting settlement in a wave: its current
+// attempt, plus the per-connection state that rides along across reconnects
+// until the connection settles into the cell's tally.
 type inflight struct {
-	idx       int // index into plan.conns / res.conns
+	idx       int // index into plan.conns
 	app       *apps.Script
 	connectAt time.Duration // virtual time the attempt's SYN left
 	exchanges int           // exchanges this attempt's script carries
 	arm       int           // portfolio arm serving the attempt
+
+	attempts     int
+	planned      int           // exchanges the plan asked the connection to carry
+	served       int           // exchanges that arrived intact, across all attempts
+	established  bool          // some attempt completed its handshake
+	firstSuccess bool          // the FIRST attempt served the whole session
+	uptime       time.Duration // Σ per-attempt SYN → last verified byte
 }
 
 // scriptKey identifies one client-script shape: scripts of the same protocol
@@ -767,19 +778,12 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 		ep.Attach(c.net)
 	}
 
-	// Waves are assigned contiguously from 0 by plan, so the per-wave
-	// index lists slot straight into a slice.
-	waves := 0
-	for _, cn := range cp.conns {
-		if cn.wave+1 > waves {
-			waves = cn.wave + 1
-		}
-	}
-	c.byWave = make([][]int, waves)
+	// plan assigns waves contiguously from 0, in order, so the per-wave
+	// index lists slot straight into a slice sized by the last wave.
+	c.byWave = make([][]int, cp.conns[len(cp.conns)-1].wave+1)
 	for i, cn := range cp.conns {
 		c.byWave[cn.wave] = append(c.byWave[cn.wave], i)
 	}
-	c.res = cellResult{country: cp.country, conns: make([]connResult, len(cp.conns))}
 	return c
 }
 
@@ -899,104 +903,92 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 		}
 	}
 
+	// A wave with unprotected clients contests its routed connections: the
+	// censor state those clients trip can hit them as collateral. plan
+	// appends a wave's unprotected clients after its routed ones.
 	idxs := c.byWave[w]
-	c.res.waves++
-	if len(idxs) > c.res.maxWave {
-		c.res.maxWave = len(idxs)
-	}
+	mixed := c.plan.conns[idxs[len(idxs)-1]].unprotected
 
 	// Start every connection of the wave, drain the network, then
 	// re-attempt failed connections under the reconnect policy (the zero
 	// value retries torn-down attempts immediately within eval.TriesFor,
 	// RFC 7766 DNS behaviour, same as eval.Run) until the wave settles.
 	pol := c.wl.Reconnect
-	now := c.net.Clock.Now()
+	start := c.net.Clock.Now()
 	live := c.live[:0]
 	for _, idx := range idxs {
 		cn := &c.plan.conns[idx]
 		sess := c.sessions[cn.protocol]
 		m := sess.Exchanges()
-		r := &c.res.conns[idx]
-		r.planned = m
-		r.startAt = now
 		app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: m})
 		arm := c.pullArm(cn)
 		c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
-		r.attempts++
-		live = append(live, inflight{idx: idx, app: app, connectAt: now, exchanges: m, arm: arm})
+		live = append(live, inflight{idx: idx, app: app, connectAt: start, exchanges: m, arm: arm,
+			attempts: 1, planned: m})
 	}
 	for len(live) > 0 {
 		c.drain()
 		n := 0
 		for _, f := range live {
-			r := &c.res.conns[f.idx]
 			cn := &c.plan.conns[f.idx]
+			app, key := f.app, scriptKey{proto: cn.protocol, exch: f.exchanges}
 			if c.selCell != nil && !cn.unprotected {
 				// Credit the settled attempt back to the arm that served
 				// it — the control plane's per-attempt reward signal.
 				switch {
-				case f.app.Succeeded():
+				case app.Succeeded():
 					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.Served)
-				case f.app.Established():
+				case app.Established():
 					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.TornDown)
 				default:
 					c.selCell.Observe(c.plan.country, cn.protocol, f.arm, selector.Unestablished)
 				}
 			}
-			r.established = r.established || f.app.Established()
-			r.served += f.app.Served()
-			if f.app.Established() && f.app.LastProgressAt() > f.app.EstablishedAt() {
+			f.established = f.established || app.Established()
+			f.served += app.Served()
+			if app.Established() && app.LastProgressAt() > app.EstablishedAt() {
 				// The attempt visibly worked from its SYN until the last
 				// verified byte landed.
-				r.uptime += f.app.LastProgressAt() - f.connectAt
+				f.uptime += app.LastProgressAt() - f.connectAt
 			}
-			if !r.firstSettled {
-				r.firstSettled = true
-				r.firstSuccess = f.app.Succeeded()
+			if f.attempts == 1 {
+				f.firstSuccess = app.Succeeded()
 			}
 			budget := eval.TriesFor(cn.protocol)
 			if pol.MaxAttempts > 0 {
 				budget = pol.MaxAttempts
 			}
-			retryable := f.app.Reset() || (pol.RetryAll && !f.app.Succeeded())
-			if !f.app.Succeeded() && retryable && r.attempts < budget {
+			retryable := app.Reset() || (pol.RetryAll && !app.Succeeded())
+			if !app.Succeeded() && retryable && f.attempts < budget {
 				// Reconnect with a session carrying only the exchanges still
 				// owed: whole exchanges already served stay served.
-				remaining := r.planned - r.served
+				remaining := f.planned - f.served
 				if remaining < 1 {
 					remaining = 1
 				}
 				sess := c.sessionFor(cn.protocol, remaining)
-				app := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: sess.Exchanges()})
-				arm := c.pullArm(cn) // a reconnect is a fresh pull
-				r.attempts++
+				next := c.clientScript(sess, scriptKey{proto: cn.protocol, exch: sess.Exchanges()})
+				f.arm = c.pullArm(cn) // a reconnect is a fresh pull
+				f.attempts++
 				at := c.net.Clock.Now()
 				if pol.Backoff > 0 {
 					slot, port := c.slots[cn.slot], sess.Port
 					at += pol.Backoff
 					c.net.After(pol.Backoff, func() {
-						slot.Connect(eval.ServerAddr, port, app)
+						slot.Connect(eval.ServerAddr, port, next)
 					})
 				} else {
 					// Inline, exactly where the historical loop connected:
 					// the zero-value policy reproduces its event order.
-					c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, app)
+					c.slots[cn.slot].Connect(eval.ServerAddr, sess.Port, next)
 				}
-				live[n] = inflight{idx: f.idx, app: app, connectAt: at, exchanges: sess.Exchanges(), arm: arm}
+				f.app, f.connectAt, f.exchanges = next, at, sess.Exchanges()
+				live[n] = f
 				n++
 			} else {
-				// Settled for good. The session succeeded if every planned
-				// exchange was served, whether on the first attempt or
-				// across reconnects.
-				r.success = r.served >= r.planned
-				r.lifetime = c.net.Clock.Now() - r.startAt
-				if span := time.Duration(r.planned-1) * c.wl.RequestGap; r.lifetime < span {
-					// A give-up-early policy doesn't shrink the denominator:
-					// the user wanted service across the whole planned span.
-					r.lifetime = span
-				}
+				c.settle(&f, cn.unprotected, mixed, start)
 			}
-			c.releaseClient(scriptKey{proto: cn.protocol, exch: f.exchanges}, f.app)
+			c.releaseClient(key, app)
 		}
 		live = live[:n]
 	}
@@ -1021,14 +1013,60 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 	}
 }
 
-// finish closes the cell out: stamp plans and censor totals into the
-// result, and hand the pooled router, engines and rngs back.
-func (c *cell) finish() cellResult {
-	for i := range c.res.conns {
-		c.res.conns[i].plan = c.plan.conns[i]
+// settle adds a connection that will not reconnect to the cell's tally. Its
+// session succeeded if every planned exchange was served, whether on the
+// first attempt or across reconnects; it counts as routed, contested (a
+// routed client in a mixed wave) or unprotected.
+func (c *cell) settle(f *inflight, unprotected, mixed bool, start time.Duration) {
+	cs := &c.res.stats
+	success := f.served >= f.planned
+	lifetime := c.net.Clock.Now() - start
+	if span := time.Duration(f.planned-1) * c.wl.RequestGap; lifetime < span {
+		// A give-up-early policy doesn't shrink the denominator: the user
+		// wanted service across the whole planned span.
+		lifetime = span
 	}
+	cs.Connections++
+	cs.RequestsAttempted += f.planned
+	cs.RequestsServed += f.served
+	cs.UptimeVirtual += f.uptime
+	cs.LifetimeVirtual += lifetime
+	if f.firstSuccess {
+		cs.FirstAttemptSucceeded++
+	}
+	if reconnects := f.attempts - 1; reconnects > 0 {
+		cs.Reconnects += reconnects
+		if success && !f.firstSuccess {
+			cs.Recoveries++
+			cs.ReconnectsToRecover += reconnects
+		}
+	}
+	switch {
+	case success:
+		cs.Succeeded++
+	case f.established:
+		c.res.tornDown++
+	default:
+		c.res.unestablished++
+	}
+	kind, kindSucceeded := &cs.Routed, &cs.RoutedSucceeded
+	switch {
+	case unprotected:
+		kind, kindSucceeded = &cs.Unprotected, &cs.UnprotectedSucceeded
+	case mixed:
+		kind, kindSucceeded = &cs.Contested, &cs.ContestedSucceeded
+	}
+	*kind++
+	if success {
+		*kindSucceeded++
+	}
+}
+
+// finish closes the cell out: stamp the censor's event total into the
+// tally, and hand the pooled router, engines and rngs back.
+func (c *cell) finish() cellResult {
 	if c.cen != nil {
-		c.res.censorEvents = c.cen.CensoredCount()
+		c.res.stats.CensorEvents = c.cen.CensoredCount()
 	}
 	c.router.ResetFlows()
 	routerPool.Put(c.router)
@@ -1091,8 +1129,8 @@ func buildShards(wl Workload, cells []*cell) []*shardRun {
 // Run executes the workload and aggregates the fleet result. Cells are
 // built, driven wave by wave (shards of one wave run concurrently on a pool
 // of up to wl.Workers goroutines, meeting at a residual-merge barrier
-// between waves), and finished; results are merged in cell order, so the
-// Result is identical at any worker or shard width.
+// between waves), and finished; each cell's tally is merged in cell order,
+// so the Result is identical at any worker or shard width.
 func Run(wl Workload) (Result, error) {
 	wl = wl.withDefaults()
 	if err := wl.validate(); err != nil {
@@ -1123,9 +1161,7 @@ func Run(wl Workload) (Result, error) {
 	shards := buildShards(wl, cells)
 	maxWaves := 0
 	for _, c := range cells {
-		if len(c.byWave) > maxWaves {
-			maxWaves = len(c.byWave)
-		}
+		maxWaves = max(maxWaves, len(c.byWave))
 	}
 
 	// Wave lockstep: all shards run wave w, then the barrier folds their
@@ -1170,91 +1206,32 @@ func Run(wl Workload) (Result, error) {
 		}
 	}
 
-	results := make([]cellResult, len(cells))
-	eval.RunParallel(workers, len(cells), func(i int) {
-		results[i] = cells[i].finish()
-	})
-
-	out := Result{
-		Cells:      len(cells),
-		PerCountry: map[string]CountryStats{},
-		Outcomes:   map[string]int{"served": 0, "torn_down": 0, "never_established": 0},
-	}
-	for _, cr := range results {
-		mCells.Inc()
-		mWaves.Add(uint64(cr.waves))
-		mConcurrent.SetMax(uint64(cr.maxWave))
-		cs := out.PerCountry[cr.country]
-		cs.CensorEvents += cr.censorEvents
-		mixedWave := map[int]bool{}
-		for _, c := range cr.conns {
-			if c.plan.unprotected {
-				mixedWave[c.plan.wave] = true
-			}
+	// Finish the cells and merge their tallies in cell order. The fleet
+	// totals are sums over PerCountry, and the fleet counters are published
+	// from the finished Result, so every outcome is counted exactly once.
+	out := Result{Cells: len(cells), PerCountry: map[string]CountryStats{}}
+	var tornDown, unestablished, waves, widest int
+	for _, c := range cells {
+		cr := c.finish()
+		cs := out.PerCountry[c.plan.country]
+		cs.add(cr.stats)
+		out.PerCountry[c.plan.country] = cs
+		tornDown += cr.tornDown
+		unestablished += cr.unestablished
+		waves += len(c.byWave)
+		for _, idxs := range c.byWave {
+			widest = max(widest, len(idxs))
 		}
-		for _, c := range cr.conns {
-			out.Connections++
-			cs.Connections++
-			mConnections.Inc()
-			mAttempts.Add(uint64(c.attempts))
-			mCountryConns[cr.country].Inc()
-			cs.RequestsAttempted += c.planned
-			cs.RequestsServed += c.served
-			cs.UptimeVirtual += c.uptime
-			cs.LifetimeVirtual += c.lifetime
-			out.RequestsAttempted += c.planned
-			out.RequestsServed += c.served
-			out.UptimeVirtual += c.uptime
-			out.LifetimeVirtual += c.lifetime
-			mRequestsAttempted.Add(uint64(c.planned))
-			mRequestsServed.Add(uint64(c.served))
-			mUptimeVirtual.Add(uint64(c.uptime))
-			mLifetimeVirtual.Add(uint64(c.lifetime))
-			if c.firstSuccess {
-				cs.FirstAttemptSucceeded++
-			}
-			if reconnects := c.attempts - 1; reconnects > 0 {
-				cs.Reconnects += reconnects
-				mReconnects.Add(uint64(reconnects))
-				if c.success && !c.firstSuccess {
-					cs.Recoveries++
-					cs.ReconnectsToRecover += reconnects
-					mRecoveries.Inc()
-				}
-			}
-			if c.success {
-				out.Succeeded++
-				cs.Succeeded++
-				out.Outcomes["served"]++
-				mServed.Inc()
-				mCountryEvaded[cr.country].Inc()
-			} else if c.established {
-				out.Outcomes["torn_down"]++
-				mTornDown.Inc()
-			} else {
-				out.Outcomes["never_established"]++
-				mUnestablished.Inc()
-			}
-			switch {
-			case c.plan.unprotected:
-				cs.Unprotected++
-				if c.success {
-					cs.UnprotectedSucceeded++
-				}
-			case mixedWave[c.plan.wave]:
-				cs.Contested++
-				if c.success {
-					cs.ContestedSucceeded++
-				}
-			default:
-				cs.Routed++
-				if c.success {
-					cs.RoutedSucceeded++
-				}
-			}
-		}
-		out.PerCountry[cr.country] = cs
 	}
+	var total CountryStats
+	for _, cs := range out.PerCountry {
+		total.add(cs)
+	}
+	out.Connections, out.Succeeded = total.Connections, total.Succeeded
+	out.RequestsAttempted, out.RequestsServed = total.RequestsAttempted, total.RequestsServed
+	out.UptimeVirtual, out.LifetimeVirtual = total.UptimeVirtual, total.LifetimeVirtual
+	out.Outcomes = map[string]int{"served": total.Succeeded, "torn_down": tornDown, "never_established": unestablished}
+	publish(out, waves, widest)
 	if ctl.state != nil {
 		out.Fallbacks = int(ctl.state.Fallbacks())
 		for country, cs := range out.PerCountry {

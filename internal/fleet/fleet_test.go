@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +211,7 @@ func TestFleetValidation(t *testing.T) {
 		{"Shift.AtWave", Workload{Shift: CensorShift{AtWave: -1, Params: shift}}},
 		{"Reconnect.MaxAttempts", Workload{Reconnect: ReconnectPolicy{MaxAttempts: -3}}},
 		{"Reconnect.Backoff", Workload{Reconnect: ReconnectPolicy{Backoff: -time.Second}}},
+		{"Countries", Workload{Countries: []string{eval.CountryChina, eval.CountryChina}}},
 		{"Impairments.Loss", Workload{Impairments: netsim.Profile{Loss: 1.5}}},
 		{"Impairments.Loss", Workload{Impairments: netsim.Profile{Loss: math.NaN()}}},
 		{"Impairments.Duplicate", Workload{Impairments: netsim.Profile{Duplicate: -0.1}}},
@@ -233,7 +235,10 @@ func TestFleetValidation(t *testing.T) {
 
 // TestFleetMetricsMatchResult: with collection enabled, the fleet counters
 // must agree exactly with the structured Result — and, like every obs
-// instrument, be identical at any worker width.
+// instrument, be identical at any worker width. The long-horizon shape
+// (keep-alive sessions, RetryAll reconnects with backoff) pins the
+// reconnect counters, including the identity attempts = connections +
+// reconnects.
 func TestFleetMetricsMatchResult(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -241,60 +246,105 @@ func TestFleetMetricsMatchResult(t *testing.T) {
 		obs.Reset()
 		obs.SetEnabled(prev)
 	}()
-	wl := Workload{Connections: 48, Seed: 7}
-	snap := func(workers int) (Result, obs.Snapshot) {
-		obs.Reset()
-		w := wl
-		w.Workers = workers
-		r, err := Run(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r, obs.Take()
-	}
-	r, s := snap(1)
-	if got := s.Counters["fleet.connections"]; got != uint64(r.Connections) {
-		t.Errorf("fleet.connections = %d, want %d", got, r.Connections)
-	}
-	if got := s.Counters["fleet.connections_served"]; got != uint64(r.Succeeded) {
-		t.Errorf("fleet.connections_served = %d, want %d", got, r.Succeeded)
-	}
-	if got := s.Counters["fleet.connections_torn_down"]; got != uint64(r.Outcomes["torn_down"]) {
-		t.Errorf("fleet.connections_torn_down = %d, want %d", got, r.Outcomes["torn_down"])
-	}
-	if got := s.Counters["fleet.cells"]; got != uint64(r.Cells) {
-		t.Errorf("fleet.cells = %d, want %d", got, r.Cells)
-	}
-	for _, def := range eval.Registry() {
-		cs := r.PerCountry[def.Country]
-		if got := s.Counters["fleet."+def.MetricLabel+".connections"]; got != uint64(cs.Connections) {
-			t.Errorf("fleet.%s.connections = %d, want %d", def.MetricLabel, got, cs.Connections)
-		}
-		if got := s.Counters["fleet."+def.MetricLabel+".evaded"]; got != uint64(cs.Succeeded) {
-			t.Errorf("fleet.%s.evaded = %d, want %d", def.MetricLabel, got, cs.Succeeded)
-		}
-	}
-	if g := s.Gauges["fleet.concurrent_connections"]; g < 2 {
-		t.Errorf("fleet.concurrent_connections = %d, want >= 2 (waves are concurrent)", g)
-	}
-	if got := s.Counters["fleet.requests_attempted"]; got != uint64(r.RequestsAttempted) {
-		t.Errorf("fleet.requests_attempted = %d, want %d", got, r.RequestsAttempted)
-	}
-	if got := s.Counters["fleet.requests_served"]; got != uint64(r.RequestsServed) {
-		t.Errorf("fleet.requests_served = %d, want %d", got, r.RequestsServed)
-	}
-	if got := s.Counters["fleet.uptime_virtual_ns"]; got != uint64(r.UptimeVirtual) {
-		t.Errorf("fleet.uptime_virtual_ns = %d, want %d", got, r.UptimeVirtual)
-	}
-	if got := s.Counters["fleet.lifetime_virtual_ns"]; got != uint64(r.LifetimeVirtual) {
-		t.Errorf("fleet.lifetime_virtual_ns = %d, want %d", got, r.LifetimeVirtual)
-	}
-	for _, w := range []int{2, 8} {
-		_, got := snap(w)
-		for name, v := range s.Counters {
-			if got.Counters[name] != v {
-				t.Errorf("workers=%d: counter %s = %d, want %d", w, name, got.Counters[name], v)
+	for _, tc := range []struct {
+		name string
+		wl   Workload
+	}{
+		{"oneshot", Workload{Connections: 48, Seed: 7}},
+		{"longhorizon", Workload{
+			Countries:       []string{eval.CountryChina, eval.CountryIndiaJio, eval.CountryTurkmenistan, eval.CountryNone},
+			Protocols:       []string{"http", "https", "dns"},
+			Connections:     96,
+			SessionRequests: 3,
+			RequestGap:      40 * time.Second,
+			Reconnect:       ReconnectPolicy{MaxAttempts: 3, Backoff: 50 * time.Second, RetryAll: true},
+			Seed:            1234,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := func(workers int) (Result, obs.Snapshot) {
+				obs.Reset()
+				w := tc.wl
+				w.Workers = workers
+				r, err := Run(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r, obs.Take()
 			}
+			r, s := snap(1)
+			var reconnects, recoveries int
+			for _, cs := range r.PerCountry {
+				reconnects += cs.Reconnects
+				recoveries += cs.Recoveries
+			}
+			for _, c := range []struct {
+				name string
+				want int
+			}{
+				{"fleet.connections", r.Connections},
+				{"fleet.connections_served", r.Succeeded},
+				{"fleet.connections_torn_down", r.Outcomes["torn_down"]},
+				{"fleet.connections_unestablished", r.Outcomes["never_established"]},
+				{"fleet.cells", r.Cells},
+				{"fleet.requests_attempted", r.RequestsAttempted},
+				{"fleet.requests_served", r.RequestsServed},
+				{"fleet.uptime_virtual_ns", int(r.UptimeVirtual)},
+				{"fleet.lifetime_virtual_ns", int(r.LifetimeVirtual)},
+				{"fleet.attempts", r.Connections + reconnects},
+				{"fleet.reconnects", reconnects},
+				{"fleet.recoveries", recoveries},
+			} {
+				if got := s.Counters[c.name]; got != uint64(c.want) {
+					t.Errorf("%s = %d, want %d", c.name, got, c.want)
+				}
+			}
+			if tc.name == "longhorizon" && reconnects == 0 {
+				t.Error("long-horizon shape reconnected nothing; the reconnect counters went unexercised")
+			}
+			for _, def := range eval.Registry() {
+				cs := r.PerCountry[def.Country]
+				if got := s.Counters["fleet."+def.MetricLabel+".connections"]; got != uint64(cs.Connections) {
+					t.Errorf("fleet.%s.connections = %d, want %d", def.MetricLabel, got, cs.Connections)
+				}
+				if got := s.Counters["fleet."+def.MetricLabel+".evaded"]; got != uint64(cs.Succeeded) {
+					t.Errorf("fleet.%s.evaded = %d, want %d", def.MetricLabel, got, cs.Succeeded)
+				}
+			}
+			if g := s.Gauges["fleet.concurrent_connections"]; g < 2 {
+				t.Errorf("fleet.concurrent_connections = %d, want >= 2 (waves are concurrent)", g)
+			}
+			for _, w := range []int{2, 8} {
+				_, got := snap(w)
+				for name, v := range s.Counters {
+					if got.Counters[name] != v {
+						t.Errorf("workers=%d: counter %s = %d, want %d", w, name, got.Counters[name], v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCountryStatsAddCoversEveryCount: the per-cell tallies merge through
+// CountryStats.add, so a count it forgets would silently read zero in
+// PerCountry and in the fleet totals. Every integer or duration field must
+// be summed.
+func TestCountryStatsAddCoversEveryCount(t *testing.T) {
+	var one CountryStats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Int || f.Kind() == reflect.Int64 {
+			f.SetInt(1)
+		}
+	}
+	var sum CountryStats
+	sum.add(one)
+	sum.add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if f := got.Field(i); (f.Kind() == reflect.Int || f.Kind() == reflect.Int64) && f.Int() != 2 {
+			t.Errorf("CountryStats.add does not sum %s", got.Type().Field(i).Name)
 		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"geneva/internal/obs"
 )
 
-// Fleet counters. Totals are sums of per-connection events whose randomness
-// is purely seed-derived, and the concurrency gauge is a high-water mark
-// over per-cell virtual-time concurrency, so every instrument here is
-// worker-width invariant (the PR-4 metrics discipline).
+// Fleet counters. The outcome counters are published once per run from the
+// finished Result (see publish), and the concurrency gauge is a high-water
+// mark over per-cell virtual-time concurrency, so every instrument here is
+// worker-width invariant and cannot drift from the Result it mirrors.
 var (
 	mCells         = obs.NewCounter("fleet.cells")
 	mWaves         = obs.NewCounter("fleet.waves")
@@ -32,8 +32,7 @@ var (
 	mResidualSeeded    = obs.NewCounter("fleet.residual_ledger_seeded")
 	// Long-horizon session counters: per-exchange demand and delivery,
 	// reconnect churn, and the virtual uptime/lifetime sums (nanoseconds)
-	// behind the availability ratio. All are plan- and outcome-derived, so
-	// they inherit the same width invariance as the totals above.
+	// behind the availability ratio.
 	mRequestsAttempted = obs.NewCounter("fleet.requests_attempted")
 	mRequestsServed    = obs.NewCounter("fleet.requests_served")
 	mReconnects        = obs.NewCounter("fleet.reconnects")
@@ -67,3 +66,31 @@ var countryMetricNames = func() []struct{ country, label string } {
 	}
 	return append(names, struct{ country, label string }{"", "uncensored"})
 }()
+
+// publish records a finished run's fleet counters. Each is read off the
+// Result (plus the cells' wave count and widest wave), so the counters are
+// the Result's totals by construction; fleet.attempts is the identity
+// Connections + Σ Reconnects.
+func publish(r Result, waves, widest int) {
+	mCells.Add(uint64(r.Cells))
+	mWaves.Add(uint64(waves))
+	mConcurrent.SetMax(uint64(widest))
+	mConnections.Add(uint64(r.Connections))
+	mServed.Add(uint64(r.Outcomes["served"]))
+	mTornDown.Add(uint64(r.Outcomes["torn_down"]))
+	mUnestablished.Add(uint64(r.Outcomes["never_established"]))
+	mRequestsAttempted.Add(uint64(r.RequestsAttempted))
+	mRequestsServed.Add(uint64(r.RequestsServed))
+	mUptimeVirtual.Add(uint64(r.UptimeVirtual))
+	mLifetimeVirtual.Add(uint64(r.LifetimeVirtual))
+	var reconnects, recoveries int
+	for country, cs := range r.PerCountry {
+		mCountryConns[country].Add(uint64(cs.Connections))
+		mCountryEvaded[country].Add(uint64(cs.Succeeded))
+		reconnects += cs.Reconnects
+		recoveries += cs.Recoveries
+	}
+	mAttempts.Add(uint64(r.Connections + reconnects))
+	mReconnects.Add(uint64(reconnects))
+	mRecoveries.Add(uint64(recoveries))
+}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 )
@@ -20,6 +21,22 @@ type Profile struct {
 	// packet. Values below the inter-packet spacing delay without
 	// reordering; larger values reorder too.
 	Jitter time.Duration
+}
+
+// Validate rejects a profile no link can have: a Loss, Duplicate or Reorder
+// probability outside [0,1] (NaN included) or a negative Jitter. The error
+// names the field, so callers prefix it with the profile's own path
+// ("Impairments.Loss ...").
+func (p Profile) Validate() error {
+	for i, v := range []float64{p.Loss, p.Duplicate, p.Reorder} {
+		if !(v >= 0 && v <= 1) { // NaN fails too
+			return fmt.Errorf("%s %g is not a probability in [0,1]", [...]string{"Loss", "Duplicate", "Reorder"}[i], v)
+		}
+	}
+	if p.Jitter < 0 {
+		return fmt.Errorf("Jitter %v is negative", p.Jitter)
+	}
+	return nil
 }
 
 func (p Profile) enabled() bool {
