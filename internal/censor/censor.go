@@ -1,6 +1,7 @@
 // Package censor provides the machinery shared by all the nation-state
-// censor models: blocklists, censor-relative flow bookkeeping, and the
-// packet fabrication helpers (injected RSTs, block pages, and redirects).
+// censor models: blocklists, the expiring-window table behind residual
+// censorship and blackholing (Windows), and the packet fabrication helpers
+// (injected RSTs, block pages, and redirects).
 //
 // The concrete censors live in the subpackages gfw (China), india (the
 // multi-ISP family: Airtel, Jio, Vodafone), iran, kazakh, and tmc
@@ -9,6 +10,7 @@
 package censor
 
 import (
+	"net/netip"
 	"strings"
 	"time"
 
@@ -16,20 +18,22 @@ import (
 )
 
 // ResidualCarrier is implemented by censor models that keep cross-connection
-// residual-censorship state (the GFW's ~90 s poisoned server windows, §4.2).
-// It is the narrow seam the sharded fleet harness merges censor state
-// through: each simulated censor instance exports its live windows at a wave
-// barrier and is re-seeded with the merged view before the next wave.
+// residual-censorship state (the GFW's ~90 s poisoned server windows, §4.2),
+// keyed by the censored server's ip:port. It is the narrow seam the sharded
+// fleet harness merges censor state through: each simulated censor instance
+// exports its live windows at a wave barrier and is re-seeded with the
+// merged view before the next wave.
 //
 // Both methods use durations relative to the instance's own virtual clock:
 // ExportResidual reports each live window as the time remaining until its
 // expiry at `now`, and SeedResidual installs a window expiring at `expiry`
 // on the instance's clock. Seeding never shortens an existing window
-// (max-merge), so applying the same set of seeds in any order produces the
-// same state — the property the fleet's determinism contract relies on.
+// (max-merge, Windows.Seed), so applying the same set of seeds in any order
+// produces the same state — the property the fleet's determinism contract
+// relies on.
 type ResidualCarrier interface {
-	ExportResidual(now time.Duration, emit func(key string, remaining time.Duration))
-	SeedResidual(key string, expiry time.Duration)
+	ExportResidual(now time.Duration, emit func(server netip.AddrPort, remaining time.Duration))
+	SeedResidual(server netip.AddrPort, expiry time.Duration)
 }
 
 // ParamShifter is implemented by censor models whose calibrated stochastic

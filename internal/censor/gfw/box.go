@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
-	"strconv"
 	"time"
 
 	"geneva/internal/apps"
@@ -47,7 +46,6 @@ type tcb struct {
 	clientPort uint16
 	serverAddr netip.Addr
 	serverPort uint16
-	srvKey     string // memoized residual-censorship key ("ip:port")
 
 	clientISS     uint32
 	expClient     uint32 // next expected client sequence number
@@ -89,10 +87,10 @@ type Box struct {
 	// connection per trial fanned out to five boxes, so keeping flow #1
 	// out of the map means most trials never allocate per-flow state at
 	// all. Additional concurrent flows spill into the flows map.
-	flow0   packet.Flow
-	tcb0    tcb
-	have0   bool
-	flows   map[packet.Flow]*tcb
+	flow0 packet.Flow
+	tcb0  tcb
+	have0 bool
+	flows map[packet.Flow]*tcb
 	// free recycles TCBs of dealt-with flows (see dropFlow). At fleet
 	// scale the table would otherwise accumulate one dead entry per
 	// connection until the maxFlows sweep; recycling keeps the map sized
@@ -100,8 +98,8 @@ type Box struct {
 	// buffer across flows.
 	free    []*tcb
 	lastNow time.Duration
-	// poisoned maps server ip:port -> residual-censorship expiry.
-	poisoned map[string]time.Duration
+	// residual holds each poisoned server ip:port's residual window.
+	residual censor.Windows[netip.AddrPort]
 
 	// Censored counts censorship events (for experiments).
 	Censored int
@@ -109,10 +107,10 @@ type Box struct {
 	Evicted int
 }
 
-// NewBox builds a box with its own RNG stream. The flow and poisoned
+// NewBox builds a box with its own RNG stream. The flow and residual
 // tables are lazy: single-connection trials use the inline TCB slot, and
-// only the box whose Params carry residual censorship (HTTP) ever writes
-// the poisoned map, so the common trial allocates neither.
+// only the box whose Params carry residual censorship (HTTP) ever opens a
+// residual window, so the common trial allocates neither.
 func NewBox(p Params, bl censor.Blocklist, rng *rand.Rand) *Box {
 	return &Box{
 		P:     p,
@@ -260,14 +258,10 @@ func (b *Box) dispatch(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Ver
 	// tear-down right after any new three-way handshake (§4.2). The expiry
 	// is inclusive: a connection at exactly poison-time + 90s is still
 	// censored, and the first packet after that boundary passes.
-	if b.P.Residual > 0 && t.fromClient(pkt) && pkt.TCP.Flags&packet.FlagACK != 0 {
-		if exp, ok := b.poisoned[b.serverKey(t)]; ok {
-			if now <= exp {
-				b.m.residual.Inc()
-				return b.censorVerdict(t, "residual censorship")
-			}
-			delete(b.poisoned, b.serverKey(t))
-		}
+	if b.P.Residual > 0 && t.fromClient(pkt) && pkt.TCP.Flags&packet.FlagACK != 0 &&
+		b.residual.Live(netip.AddrPortFrom(t.serverAddr, t.serverPort), now) {
+		b.m.residual.Inc()
+		return b.censorVerdict(t, "residual censorship")
 	}
 
 	if t.fromClient(pkt) {
@@ -277,42 +271,21 @@ func (b *Box) dispatch(t *tcb, pkt *packet.Packet, now time.Duration) netsim.Ver
 }
 
 // ExportResidual implements censor.ResidualCarrier: it reports every
-// still-live poisoned server window as (key, time remaining at now). Expired
-// entries are skipped, not deleted — Process and censorVerdict own the
-// sweeping. The emit order is map order and therefore unspecified; callers
-// needing determinism must fold with an order-independent merge.
-func (b *Box) ExportResidual(now time.Duration, emit func(key string, remaining time.Duration)) {
-	for k, exp := range b.poisoned {
-		if now <= exp {
-			emit(k, exp-now)
-		}
+// still-live poisoned server window with its time remaining at now. Boxes
+// without residual censorship report nothing.
+func (b *Box) ExportResidual(now time.Duration, emit func(server netip.AddrPort, remaining time.Duration)) {
+	if b.P.Residual > 0 {
+		b.residual.Export(now, emit)
 	}
 }
 
 // SeedResidual implements censor.ResidualCarrier: it installs a poisoned
-// window for a server key, expiring at expiry on this box's clock. An
-// existing longer window wins (max-merge), so seeding is idempotent and
-// order-independent. Boxes without residual censorship ignore the seed.
-func (b *Box) SeedResidual(key string, expiry time.Duration) {
-	if b.P.Residual <= 0 {
-		return
+// window for a server, expiring at expiry on this box's clock (max-merge).
+// Boxes without residual censorship ignore the seed.
+func (b *Box) SeedResidual(server netip.AddrPort, expiry time.Duration) {
+	if b.P.Residual > 0 {
+		b.residual.Seed(server, expiry)
 	}
-	if exp, ok := b.poisoned[key]; ok && exp >= expiry {
-		return
-	}
-	if b.poisoned == nil {
-		b.poisoned = make(map[string]time.Duration)
-	}
-	b.poisoned[key] = expiry
-}
-
-// serverKey returns the residual-censorship key for t's server, formatted
-// once per TCB instead of once per packet.
-func (b *Box) serverKey(t *tcb) string {
-	if t.srvKey == "" {
-		t.srvKey = t.serverAddr.String() + ":" + strconv.Itoa(int(t.serverPort))
-	}
-	return t.srvKey
 }
 
 // processServer applies the resynchronization triggers, which all key off
@@ -550,33 +523,20 @@ func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
 			return b.Block.MatchKeyword(f)
 		}
 	case "http":
-		// The first request is checked exactly as before (memoized view on
-		// the usePkt path); a keep-alive client that coalesces several
-		// requests into one segment or stream then gets every follow-up
-		// request scanned too. Before that scan existed the box censored
-		// only the *first* request of a payload — a forbidden request
-		// pipelined behind a benign one sailed through.
+		// The box's one quirk comes first: a forbidden Host header censors
+		// even when no request line parses. Otherwise every request
+		// pipelined in the segment or stream is checked (memoized view on
+		// the usePkt path).
 		if usePkt {
-			if target, ok := pkt.HTTPRequestTarget(); ok && b.Block.MatchKeyword(target) {
-				return true
-			}
 			if host, ok := pkt.HTTPHostHeader(); ok && b.Block.MatchDomain(host) {
 				return true
 			}
-			if off := pkt.HTTPNextRequestOffset(); off > 0 {
-				return packet.VisitHTTPRequests(pkt.TCP.Payload[off:], b.matchHTTPRequest)
-			}
-			return false
-		}
-		if target, ok := packet.ParseHTTPRequestTarget(stream); ok && b.Block.MatchKeyword(target) {
-			return true
+			return pkt.MatchHTTPRequests(b.matchHTTPRequest)
 		}
 		if host, ok := packet.ParseHTTPHostHeader(stream); ok && b.Block.MatchDomain(host) {
 			return true
 		}
-		if off := packet.NextHTTPRequestOffset(stream); off > 0 {
-			return packet.VisitHTTPRequests(stream[off:], b.matchHTTPRequest)
-		}
+		return packet.VisitHTTPRequests(stream, b.matchHTTPRequest)
 	case "https":
 		if usePkt {
 			if sni, ok := pkt.TLSServerName(); ok {
@@ -593,9 +553,8 @@ func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
 	return false
 }
 
-// matchHTTPRequest is the per-request predicate for the pipelined follow-up
-// scan: the same keyword-on-target / domain-on-Host pair the first-request
-// path applies.
+// matchHTTPRequest is the per-request HTTP predicate: a forbidden keyword
+// in the request target or a forbidden Host.
 func (b *Box) matchHTTPRequest(target, host string, hok bool) bool {
 	return b.Block.MatchKeyword(target) || (hok && b.Block.MatchDomain(host))
 }
@@ -609,23 +568,10 @@ func (b *Box) censorVerdict(t *tcb, note string) netsim.Verdict {
 	t.censored = true
 	t.torn = true // the box considers the connection dealt with
 	if b.P.Residual > 0 {
-		if b.poisoned == nil {
-			b.poisoned = make(map[string]time.Duration)
-		}
-		// Sweep dead entries before adding one. Expired servers that no
-		// client ever revisits are otherwise never deleted (the lookup in
-		// Process only clears the key it hits), so a long evolve run against
-		// many servers would grow the map without bound. Sweeping here keeps
-		// the table no larger than the set of currently-poisoned servers,
-		// and the now-based predicate is deterministic regardless of map
-		// iteration order.
-		for k, exp := range b.poisoned {
-			if b.lastNow > exp {
-				b.m.residualSwept.Inc()
-				delete(b.poisoned, k)
-			}
-		}
-		b.poisoned[b.serverKey(t)] = b.lastNow + b.P.Residual
+		// Re-opening a live window overwrites its expiry, so a shifted-down
+		// residual_s shortens it.
+		swept := b.residual.Open(netip.AddrPortFrom(t.serverAddr, t.serverPort), b.lastNow, b.lastNow+b.P.Residual)
+		b.m.residualSwept.Add(uint64(swept))
 	}
 	srvFlow := packet.Flow{
 		SrcAddr: t.serverAddr, SrcPort: t.serverPort,

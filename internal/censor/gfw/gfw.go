@@ -2,6 +2,7 @@ package gfw
 
 import (
 	"math/rand"
+	"net/netip"
 	"strings"
 	"time"
 
@@ -25,19 +26,6 @@ func New(bl censor.Blocklist, rng *rand.Rand) *GFW {
 	g := &GFW{Boxes: make([]*Box, 0, len(chinaParams))}
 	for _, p := range ChinaParams() {
 		g.Boxes = append(g.Boxes, NewBox(p, bl, rng))
-	}
-	return g
-}
-
-// NewSingle builds a GFW with only the named protocol box active — used by
-// the ablation experiments that contrast the multi-box and single-box
-// architectures.
-func NewSingle(protocol string, bl censor.Blocklist, rng *rand.Rand) *GFW {
-	g := &GFW{}
-	for _, p := range ChinaParams() {
-		if p.Protocol == protocol {
-			g.Boxes = append(g.Boxes, NewBox(p, bl, rng))
-		}
 	}
 	return g
 }
@@ -93,18 +81,16 @@ func (g *GFW) CensoredCount() int { return g.CensorshipEvents() }
 // ExportResidual implements censor.ResidualCarrier by fanning out to every
 // box; only boxes whose parameters carry residual censorship (HTTP) have
 // windows to report.
-func (g *GFW) ExportResidual(now time.Duration, emit func(key string, remaining time.Duration)) {
+func (g *GFW) ExportResidual(now time.Duration, emit func(server netip.AddrPort, remaining time.Duration)) {
 	for _, b := range g.Boxes {
-		if b.P.Residual > 0 {
-			b.ExportResidual(now, emit)
-		}
+		b.ExportResidual(now, emit)
 	}
 }
 
 // SeedResidual implements censor.ResidualCarrier; boxes without residual
 // censorship ignore the seed.
-func (g *GFW) SeedResidual(key string, expiry time.Duration) {
+func (g *GFW) SeedResidual(server netip.AddrPort, expiry time.Duration) {
 	for _, b := range g.Boxes {
-		b.SeedResidual(key, expiry)
+		b.SeedResidual(server, expiry)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"geneva/internal/censor"
 	"geneva/internal/netsim"
+	"geneva/internal/obs"
 	"geneva/internal/packet"
 )
 
@@ -407,12 +408,18 @@ func residualProbe(t *testing.T, probeAt time.Duration) bool {
 	if b.Censored != 1 {
 		t.Fatal("poisoning censorship did not fire")
 	}
+	return freshHandshakeCensored(b, 41000, probeAt)
+}
+
+// freshHandshakeCensored runs a brand-new flow's handshake from client port
+// cport to the server at time at, and reports whether the box tore it down.
+func freshHandshakeCensored(b *Box, cport uint16, at time.Duration) bool {
 	probe := handshake(9000, 7000)
 	for _, pk := range probe {
 		if pk.IP.Src == cli {
-			pk.TCP.SrcPort = 41000
+			pk.TCP.SrcPort = cport
 		} else {
-			pk.TCP.DstPort = 41000
+			pk.TCP.DstPort = cport
 		}
 	}
 	censored := false
@@ -421,7 +428,7 @@ func residualProbe(t *testing.T, probeAt time.Duration) bool {
 		if pk.IP.Src == srv {
 			dir = netsim.ToClient
 		}
-		if v := b.Process(pk, dir, probeAt); len(v.InjectToClient) > 0 {
+		if v := b.Process(pk, dir, at); len(v.InjectToClient) > 0 {
 			censored = true
 		}
 	}
@@ -440,6 +447,32 @@ func TestResidualExpiryBoundary(t *testing.T) {
 	}
 }
 
+// TestResidualReopenOverwrites pins the GFW's re-open rule: a censorship
+// event inside a live window replaces the window's expiry rather than
+// max-merging it, so after http.residual_s is shifted down a re-censored
+// server's window shrinks (the TMC's taint, by contrast, never shortens).
+func TestResidualReopenOverwrites(t *testing.T) {
+	p := httpParamsAllOff()
+	p.Residual = 90 * time.Second
+	g := &GFW{Boxes: []*Box{deterministic(p)}}
+	b := g.Boxes[0]
+	for _, pk := range append(handshake(100, 500), mk(true, pa, 101, 501, forbiddenGET)) {
+		dir := netsim.ToServer
+		if pk.IP.Src == srv {
+			dir = netsim.ToClient
+		}
+		b.Process(pk, dir, 0) // window open until 90s
+	}
+	g.ShiftParams(map[string]float64{"http.residual_s": 30})
+	if !freshHandshakeCensored(b, 41000, 10*time.Second) {
+		t.Fatal("no residual tear-down inside the live 90s window")
+	}
+	// The re-open at 10s set the expiry to 10s+30s, replacing 90s.
+	if freshHandshakeCensored(b, 42000, 40*time.Second+time.Nanosecond) {
+		t.Error("re-opened window kept the longer 90s expiry; want it overwritten")
+	}
+}
+
 // TestResidualMapBoundedGrowth drives censorship events against many
 // distinct servers, spaced beyond the residual window, and checks the
 // poisoned table does not accumulate expired entries a long evolve run
@@ -448,6 +481,9 @@ func TestResidualMapBoundedGrowth(t *testing.T) {
 	p := httpParamsAllOff()
 	p.Residual = 90 * time.Second
 	b := deterministic(p)
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	swept0 := b.m.residualSwept.Value()
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
 		now := time.Duration(i) * 100 * time.Second // > 90s apart: all prior entries expired
@@ -466,8 +502,12 @@ func TestResidualMapBoundedGrowth(t *testing.T) {
 	if b.Censored != rounds {
 		t.Fatalf("censored %d flows, want %d", b.Censored, rounds)
 	}
-	if got := len(b.poisoned); got > 1 {
-		t.Errorf("poisoned table holds %d entries after %d expired-and-gone servers, want <= 1", got, rounds)
+	if got := b.residual.Len(); got > 1 {
+		t.Errorf("residual table holds %d entries after %d expired-and-gone servers, want <= 1", got, rounds)
+	}
+	// Each round after the first sweeps exactly the previous round's window.
+	if got := b.m.residualSwept.Value() - swept0; got != rounds-1 {
+		t.Errorf("residual_swept counted %d, want %d", got, rounds-1)
 	}
 }
 
@@ -482,10 +522,6 @@ func TestCompositeGFWFansOutAndNeverDrops(t *testing.T) {
 	}
 	if g.Box("ftp") == nil || g.Box("nope") != nil {
 		t.Error("Box lookup broken")
-	}
-	single := NewSingle("http", censor.Default(), rand.New(rand.NewSource(4)))
-	if len(single.Boxes) != 1 || single.Boxes[0].P.Protocol != "http" {
-		t.Error("NewSingle broken")
 	}
 }
 

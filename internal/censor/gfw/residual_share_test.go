@@ -1,8 +1,14 @@
 package gfw
 
 import (
+	"net/netip"
 	"testing"
 	"time"
+)
+
+var (
+	server  = netip.MustParseAddrPort("198.51.100.9:80")
+	server2 = netip.MustParseAddrPort("198.51.100.10:80")
 )
 
 // TestResidualExportSeed covers the ResidualCarrier contract the sharded
@@ -14,9 +20,9 @@ func TestResidualExportSeed(t *testing.T) {
 	p.Residual = 90 * time.Second
 	b := deterministic(p)
 
-	export := func(now time.Duration) map[string]time.Duration {
-		got := map[string]time.Duration{}
-		b.ExportResidual(now, func(key string, remaining time.Duration) {
+	export := func(now time.Duration) map[netip.AddrPort]time.Duration {
+		got := map[netip.AddrPort]time.Duration{}
+		b.ExportResidual(now, func(key netip.AddrPort, remaining time.Duration) {
 			got[key] = remaining
 		})
 		return got
@@ -26,19 +32,19 @@ func TestResidualExportSeed(t *testing.T) {
 		t.Fatalf("fresh box exported %v, want nothing", got)
 	}
 
-	b.SeedResidual("198.51.100.9:80", 90*time.Second)
-	if got := export(30 * time.Second); got["198.51.100.9:80"] != 60*time.Second {
+	b.SeedResidual(server, 90*time.Second)
+	if got := export(30 * time.Second); got[server] != 60*time.Second {
 		t.Errorf("export at t=30s: got %v, want 60s remaining", got)
 	}
 
 	// Max-merge: a shorter window must not clip the live one...
-	b.SeedResidual("198.51.100.9:80", 50*time.Second)
-	if got := export(30 * time.Second); got["198.51.100.9:80"] != 60*time.Second {
+	b.SeedResidual(server, 50*time.Second)
+	if got := export(30 * time.Second); got[server] != 60*time.Second {
 		t.Errorf("shorter seed clipped the window: got %v, want 60s remaining", got)
 	}
 	// ...and a longer one extends it.
-	b.SeedResidual("198.51.100.9:80", 2*time.Minute)
-	if got := export(30 * time.Second); got["198.51.100.9:80"] != 90*time.Second {
+	b.SeedResidual(server, 2*time.Minute)
+	if got := export(30 * time.Second); got[server] != 90*time.Second {
 		t.Errorf("longer seed did not extend the window: got %v, want 90s remaining", got)
 	}
 
@@ -49,9 +55,9 @@ func TestResidualExportSeed(t *testing.T) {
 
 	// Boxes with Residual disabled must ignore seeds entirely.
 	off := deterministic(httpParamsAllOff())
-	off.SeedResidual("198.51.100.9:80", time.Hour)
-	got := map[string]time.Duration{}
-	off.ExportResidual(0, func(key string, remaining time.Duration) { got[key] = remaining })
+	off.SeedResidual(server, time.Hour)
+	got := map[netip.AddrPort]time.Duration{}
+	off.ExportResidual(0, func(key netip.AddrPort, remaining time.Duration) { got[key] = remaining })
 	if len(got) != 0 {
 		t.Errorf("residual-disabled box accepted a seed: %v", got)
 	}
@@ -65,25 +71,25 @@ func TestResidualSeedOrderInvariant(t *testing.T) {
 	p := httpParamsAllOn()
 	p.Residual = 90 * time.Second
 	windows := []struct {
-		key string
+		key netip.AddrPort
 		exp time.Duration
 	}{
-		{"198.51.100.9:80", 40 * time.Second},
-		{"198.51.100.9:80", 90 * time.Second},
-		{"198.51.100.9:80", 65 * time.Second},
-		{"198.51.100.10:80", 30 * time.Second},
+		{server, 40 * time.Second},
+		{server, 90 * time.Second},
+		{server, 65 * time.Second},
+		{server2, 30 * time.Second},
 	}
-	snapshot := func(order []int) map[string]time.Duration {
+	snapshot := func(order []int) map[netip.AddrPort]time.Duration {
 		b := deterministic(p)
 		for _, i := range order {
 			b.SeedResidual(windows[i].key, windows[i].exp)
 		}
-		got := map[string]time.Duration{}
-		b.ExportResidual(0, func(key string, remaining time.Duration) { got[key] = remaining })
+		got := map[netip.AddrPort]time.Duration{}
+		b.ExportResidual(0, func(key netip.AddrPort, remaining time.Duration) { got[key] = remaining })
 		return got
 	}
 	want := snapshot([]int{0, 1, 2, 3})
-	if want["198.51.100.9:80"] != 90*time.Second || want["198.51.100.10:80"] != 30*time.Second {
+	if want[server] != 90*time.Second || want[server2] != 30*time.Second {
 		t.Fatalf("unexpected merged state: %v", want)
 	}
 	for _, order := range [][]int{{3, 2, 1, 0}, {1, 0, 3, 2}, {2, 3, 0, 1}, {1, 1, 0, 2, 3, 3}} {
@@ -93,7 +99,7 @@ func TestResidualSeedOrderInvariant(t *testing.T) {
 		}
 		for k, v := range want {
 			if got[k] != v {
-				t.Errorf("order %v: key %s = %v, want %v", order, k, got[k], v)
+				t.Errorf("order %v: key %v = %v, want %v", order, k, got[k], v)
 			}
 		}
 	}

@@ -114,9 +114,9 @@ type India struct {
 	Censored int
 
 	m *ispMetrics
-	// blackholed maps an offending client flow to its drop-window expiry
-	// (ActionBlackhole only; lazily allocated).
-	blackholed map[packet.Flow]time.Duration
+	// blackholes holds each offending client flow's drop window
+	// (ActionBlackhole only).
+	blackholes censor.Windows[packet.Flow]
 }
 
 // New builds the ISP middlebox for params. The rng is unused (every Indian
@@ -141,15 +141,9 @@ func (in *India) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 	}
 	// Active blackhole: silently drop everything the offending client flow
 	// sends until the window expires.
-	if in.blackholed != nil {
-		flow := pkt.Flow()
-		if exp, ok := in.blackholed[flow]; ok {
-			if now < exp {
-				in.m.blackholed.Inc()
-				return netsim.Verdict{Drop: true, Note: "blackholed"}
-			}
-			delete(in.blackholed, flow)
-		}
+	if in.blackholes.Live(pkt.Flow(), now) {
+		in.m.blackholed.Inc()
+		return netsim.Verdict{Drop: true, Note: "blackholed"}
 	}
 	if len(pkt.TCP.Payload) == 0 {
 		return netsim.Verdict{}
@@ -164,29 +158,15 @@ func (in *India) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		// The DPI pattern is anchored at a well-formed request line: a
 		// packet that starts mid-request is not recognized as HTTP at all.
 		// This is why inducing client segmentation (Strategy 8) wins 100%
-		// of the time — neither segment looks like an HTTP request.
-		// (Memoized on the packet: the fleet stacks censors, and every one
-		// of them asks for the same fields.)
-		if _, ok := pkt.HTTPRequestTarget(); !ok {
-			break
-		}
-		if host, ok := pkt.HTTPHostHeader(); ok && in.Block.MatchDomain(host) {
+		// of the time — neither segment looks like an HTTP request. Every
+		// request pipelined in the packet gets its Host matched.
+		var host string
+		if pkt.MatchHTTPRequests(func(_, h string, hok bool) bool {
+			host = h
+			return hok && in.Block.MatchDomain(h)
+		}) {
 			action = in.P.HTTP
 			note = "blocked Host " + host
-		} else if off := pkt.HTTPNextRequestOffset(); off > 0 {
-			// Keep-alive pipelining: the packet carries more than one
-			// request, and the DPI matches the Host of each. Before this
-			// scan the ISPs only ever looked at the first request of a
-			// payload, so a forbidden request riding behind a benign one
-			// slipped through every sibling.
-			packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
-				if hok && in.Block.MatchDomain(h) {
-					action = in.P.HTTP
-					note = "blocked Host " + h
-					return true
-				}
-				return false
-			})
 		}
 	case 443:
 		if in.P.SNI == ActionNone {
@@ -226,10 +206,9 @@ func (in *India) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 			InjectToClient: []*packet.Packet{censor.Redirect302(srvFlow, seq, ack, in.P.RedirectLocation)},
 		}
 	case ActionBlackhole:
-		if in.blackholed == nil {
-			in.blackholed = make(map[packet.Flow]time.Duration)
-		}
-		in.blackholed[pkt.Flow()] = now + in.P.BlackholeWindow
+		// The blackhole ends at now+BlackholeWindow: its last dropped
+		// instant is one tick earlier.
+		in.blackholes.Open(pkt.Flow(), now, now+in.P.BlackholeWindow-1)
 		in.m.blackholed.Inc()
 		return netsim.Verdict{Drop: true, Note: note + "; blackhole started"}
 	}

@@ -233,3 +233,42 @@ func TestPipelinedForbiddenRequestCensored(t *testing.T) {
 		}
 	}
 }
+
+// TestJioBlackholeExpiryBoundary pins the blackhole's exclusive end: the
+// flow is still dropped one tick before start+window and passes at exactly
+// start+window.
+func TestJioBlackholeExpiryBoundary(t *testing.T) {
+	const start = 5 * time.Second
+	j := New(Jio(), censor.Default(), nil)
+	if v := j.Process(forbiddenHello(443), netsim.ToServer, start); !v.Drop {
+		t.Fatal("forbidden ClientHello not blackholed")
+	}
+	later := forbiddenHello(443)
+	later.TCP.Payload = []byte("benign")
+	end := start + Jio().BlackholeWindow
+	if v := j.Process(later, netsim.ToServer, end-time.Nanosecond); !v.Drop {
+		t.Error("flow passed one tick before the blackhole ends")
+	}
+	if v := j.Process(later, netsim.ToServer, end); v.Drop {
+		t.Error("flow still dropped at exactly start+window")
+	}
+}
+
+// TestJioBlackholeTableBoundedGrowth blackholes many distinct flows, spaced
+// beyond the window, and checks the table does not keep the expired
+// entries of flows that never send again.
+func TestJioBlackholeTableBoundedGrowth(t *testing.T) {
+	j := New(Jio(), censor.Default(), nil)
+	const rounds = 50
+	for i := 0; i < rounds; i++ {
+		p := forbiddenHello(443)
+		p.TCP.SrcPort = uint16(40000 + i) // a distinct flow per round
+		j.Process(p, netsim.ToServer, time.Duration(i)*100*time.Second)
+	}
+	if j.Censored != rounds {
+		t.Fatalf("censored %d flows, want %d", j.Censored, rounds)
+	}
+	if got := j.blackholes.Len(); got > 1 {
+		t.Errorf("blackhole table holds %d entries after %d expired-and-silent flows, want <= 1", got, rounds)
+	}
+}

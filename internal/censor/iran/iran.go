@@ -35,12 +35,13 @@ type Iran struct {
 	// Censored counts censorship events (new blackholes).
 	Censored int
 
-	blackholed map[packet.Flow]time.Duration
+	// blackholes holds each offending client flow's drop window.
+	blackholes censor.Windows[packet.Flow]
 }
 
 // New builds the censor (deterministic; rng accepted for symmetry).
 func New(bl censor.Blocklist, _ *rand.Rand) *Iran {
-	return &Iran{Block: bl, blackholed: make(map[packet.Flow]time.Duration)}
+	return &Iran{Block: bl}
 }
 
 // Name implements netsim.Middlebox.
@@ -52,12 +53,9 @@ func (ir *Iran) Process(pkt *packet.Packet, dir netsim.Direction, now time.Durat
 		return netsim.Verdict{}
 	}
 	flow := pkt.Flow()
-	if exp, ok := ir.blackholed[flow]; ok {
-		if now < exp {
-			mBlackholed.Inc()
-			return netsim.Verdict{Drop: true, Note: "blackholed"}
-		}
-		delete(ir.blackholed, flow)
+	if ir.blackholes.Live(flow, now) {
+		mBlackholed.Inc()
+		return netsim.Verdict{Drop: true, Note: "blackholed"}
 	}
 	if len(pkt.TCP.Payload) == 0 {
 		return netsim.Verdict{}
@@ -67,21 +65,10 @@ func (ir *Iran) Process(pkt *packet.Packet, dir netsim.Direction, now time.Durat
 	case 80:
 		// Anchored at a well-formed request line, like Airtel: a
 		// mid-request segment is not recognized as HTTP (Strategy 8).
-		// Views are memoized on the packet, shared with any other censor
-		// inspecting the same bytes.
-		if _, ok := pkt.HTTPRequestTarget(); !ok {
-			break
-		}
-		if host, ok := pkt.HTTPHostHeader(); ok && ir.Block.MatchDomain(host) {
-			matched = true
-		} else if off := pkt.HTTPNextRequestOffset(); off > 0 {
-			// Keep-alive pipelining: every request in the packet gets its
-			// Host matched, not just the first (which is all the DPI used
-			// to look at).
-			matched = packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
-				return hok && ir.Block.MatchDomain(h)
-			})
-		}
+		// Every request pipelined in the packet gets its Host matched.
+		matched = pkt.MatchHTTPRequests(func(_, host string, hok bool) bool {
+			return hok && ir.Block.MatchDomain(host)
+		})
 	case 443:
 		if sni, ok := pkt.TLSServerName(); ok && ir.Block.MatchDomain(sni) {
 			matched = true
@@ -92,7 +79,9 @@ func (ir *Iran) Process(pkt *packet.Packet, dir netsim.Direction, now time.Durat
 	}
 	ir.Censored++
 	mCensored.Inc()
-	ir.blackholed[flow] = now + blackholeDuration
+	// The blackhole ends at now+blackholeDuration: its last dropped
+	// instant is one tick earlier.
+	ir.blackholes.Open(flow, now, now+blackholeDuration-1)
 	return netsim.Verdict{Drop: true, Note: "blackhole started"}
 }
 

@@ -117,3 +117,40 @@ func TestPipelinedForbiddenRequestBlackholed(t *testing.T) {
 		t.Errorf("Censored = %d, want 1", ir.CensoredCount())
 	}
 }
+
+// TestBlackholeExpiryBoundary pins the blackhole's exclusive end: the flow
+// is still dropped one tick before start+window and passes at exactly
+// start+window (unlike the residual windows, which include their expiry).
+func TestBlackholeExpiryBoundary(t *testing.T) {
+	const start = 5 * time.Second
+	ir := New(censor.Default(), nil)
+	if v := ir.Process(httpReq("blocked.example", 80), netsim.ToServer, start); !v.Drop {
+		t.Fatal("offending packet not blackholed")
+	}
+	benign := httpReq("allowed.example", 80)
+	if v := ir.Process(benign, netsim.ToServer, start+blackholeDuration-time.Nanosecond); !v.Drop {
+		t.Error("flow passed one tick before the blackhole ends")
+	}
+	if v := ir.Process(benign, netsim.ToServer, start+blackholeDuration); v.Drop {
+		t.Error("flow still dropped at exactly start+window")
+	}
+}
+
+// TestBlackholeTableBoundedGrowth blackholes many distinct flows, spaced
+// beyond the window, and checks the table does not keep the expired
+// entries of flows that never send again.
+func TestBlackholeTableBoundedGrowth(t *testing.T) {
+	ir := New(censor.Default(), nil)
+	const rounds = 50
+	for i := 0; i < rounds; i++ {
+		p := httpReq("blocked.example", 80)
+		p.TCP.SrcPort = uint16(40000 + i) // a distinct flow per round
+		ir.Process(p, netsim.ToServer, time.Duration(i)*100*time.Second)
+	}
+	if ir.Censored != rounds {
+		t.Fatalf("censored %d flows, want %d", ir.Censored, rounds)
+	}
+	if got := ir.blackholes.Len(); got > 1 {
+		t.Errorf("blackhole table holds %d entries after %d expired-and-silent flows, want <= 1", got, rounds)
+	}
+}

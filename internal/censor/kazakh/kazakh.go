@@ -173,28 +173,13 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 	}
 	if dir == netsim.ToServer && len(pkt.TCP.Payload) > 0 {
 		// Anchored at a well-formed request line; no reassembly, so a
-		// segmented request is never recognized (Strategy 8). Memoized on
-		// the packet, shared with any other censor inspecting it.
-		if _, ok := pkt.HTTPRequestTarget(); !ok {
-			return netsim.Verdict{}
-		}
-		host, matched := pkt.HTTPHostHeader()
-		matched = matched && k.Block.MatchDomain(host)
-		if !matched {
-			if off := pkt.HTTPNextRequestOffset(); off > 0 {
-				// Keep-alive pipelining: each request's Host is matched, not
-				// just the first one in the payload (all the MITM used to
-				// inspect).
-				matched = packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
-					if hok && k.Block.MatchDomain(h) {
-						host = h
-						return true
-					}
-					return false
-				})
-			}
-		}
-		if matched {
+		// segmented request is never recognized (Strategy 8). Every
+		// request pipelined in the packet gets its Host matched.
+		var host string
+		if pkt.MatchHTTPRequests(func(_, h string, hok bool) bool {
+			host = h
+			return hok && k.Block.MatchDomain(h)
+		}) {
 			// Censor: hijack the flow and inject the block page.
 			k.Censored++
 			mCensored.Inc()

@@ -26,7 +26,6 @@ package tmc
 import (
 	"math/rand"
 	"net/netip"
-	"strconv"
 	"time"
 
 	"geneva/internal/apps"
@@ -51,9 +50,9 @@ type TMC struct {
 	// Censored counts censorship events.
 	Censored int
 
-	// poisoned maps server ip:port -> residual-censorship expiry
-	// (lazily allocated; only HTTP/HTTPS tear-downs write it).
-	poisoned map[string]time.Duration
+	// residual holds each tainted server ip:port's residual window (only
+	// HTTP/HTTPS tear-downs open one).
+	residual censor.Windows[netip.AddrPort]
 }
 
 // New builds the TMC. The rng is unused (the model is deterministic) but
@@ -101,17 +100,12 @@ func (c *TMC) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	// Residual censorship: a tainted server endpoint tears down every new
 	// connection at the first ACK-bearing client packet (inclusive expiry,
 	// like the GFW's poisoned windows).
-	if c.poisoned != nil && dir == netsim.ToServer && pkt.TCP.Flags&packet.FlagACK != 0 {
-		key := serverKey(pkt.IP.Dst, pkt.TCP.DstPort)
-		if exp, ok := c.poisoned[key]; ok {
-			if now <= exp {
-				c.Censored++
-				m.censored.Inc()
-				m.residual.Inc()
-				return c.teardown(pkt, dir, "residual censorship", m)
-			}
-			delete(c.poisoned, key)
-		}
+	if dir == netsim.ToServer && pkt.TCP.Flags&packet.FlagACK != 0 &&
+		c.residual.Live(netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort), now) {
+		c.Censored++
+		m.censored.Inc()
+		m.residual.Inc()
+		return c.teardown(pkt, dir, "residual censorship", m)
 	}
 
 	payload := pkt.TCP.Payload
@@ -151,28 +145,13 @@ func (c *TMC) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		}
 		return v
 	case 80:
-		// Anchored single-packet HTTP engine, run in both directions.
-		// (Views are memoized on the packet; see packet.Packet.)
-		if _, ok := pkt.HTTPRequestTarget(); !ok {
-			break
-		}
-		host, ok := pkt.HTTPHostHeader()
-		matched := ok && c.Block.MatchDomain(host)
-		if !matched {
-			if off := pkt.HTTPNextRequestOffset(); off > 0 {
-				// Keep-alive pipelining: every request in the payload gets
-				// its Host matched, not only the first (which was all the
-				// engine used to examine).
-				matched = packet.VisitHTTPRequests(pkt.TCP.Payload[off:], func(_, h string, hok bool) bool {
-					if hok && c.Block.MatchDomain(h) {
-						host = h
-						return true
-					}
-					return false
-				})
-			}
-		}
-		if !matched {
+		// Anchored single-packet HTTP engine, run in both directions over
+		// every request pipelined in the payload.
+		var host string
+		if !pkt.MatchHTTPRequests(func(_, h string, hok bool) bool {
+			host = h
+			return hok && c.Block.MatchDomain(h)
+		}) {
 			break
 		}
 		c.Censored++
@@ -217,47 +196,24 @@ func (c *TMC) teardown(pkt *packet.Packet, dir netsim.Direction, note string, m 
 }
 
 // taint opens (or extends) the residual window for the offending flow's
-// server endpoint — the side on the well-known port.
+// server endpoint — the side on the well-known port. A longer window
+// already in place (seeded from the fleet ledger) is kept.
 func (c *TMC) taint(pkt *packet.Packet, dir netsim.Direction, now time.Duration) {
-	addr, port := pkt.IP.Dst, pkt.TCP.DstPort
+	server := netip.AddrPortFrom(pkt.IP.Dst, pkt.TCP.DstPort)
 	if dir == netsim.ToClient {
-		addr, port = pkt.IP.Src, pkt.TCP.SrcPort
+		server = netip.AddrPortFrom(pkt.IP.Src, pkt.TCP.SrcPort)
 	}
-	if c.poisoned == nil {
-		c.poisoned = make(map[string]time.Duration)
-	}
-	key := serverKey(addr, port)
-	if exp, ok := c.poisoned[key]; ok && exp >= now+ResidualWindow {
-		return
-	}
-	c.poisoned[key] = now + ResidualWindow
-}
-
-func serverKey(addr netip.Addr, port uint16) string {
-	return addr.String() + ":" + strconv.Itoa(int(port))
+	c.residual.Extend(server, now, now+ResidualWindow)
 }
 
 // ExportResidual implements censor.ResidualCarrier: it reports every
-// still-live tainted server window as (key, time remaining at now).
-// Expired entries are skipped, not deleted — Process owns the sweeping.
-func (c *TMC) ExportResidual(now time.Duration, emit func(key string, remaining time.Duration)) {
-	for k, exp := range c.poisoned {
-		if now <= exp {
-			emit(k, exp-now)
-		}
-	}
+// still-live tainted server window with its time remaining at now.
+func (c *TMC) ExportResidual(now time.Duration, emit func(server netip.AddrPort, remaining time.Duration)) {
+	c.residual.Export(now, emit)
 }
 
 // SeedResidual implements censor.ResidualCarrier: it installs a tainted
-// window expiring at expiry on this instance's clock. An existing longer
-// window wins (max-merge), so seeding is idempotent and order-independent
-// — the property the fleet's residual ledger relies on.
-func (c *TMC) SeedResidual(key string, expiry time.Duration) {
-	if exp, ok := c.poisoned[key]; ok && exp >= expiry {
-		return
-	}
-	if c.poisoned == nil {
-		c.poisoned = make(map[string]time.Duration)
-	}
-	c.poisoned[key] = expiry
+// window expiring at expiry on this instance's clock (max-merge).
+func (c *TMC) SeedResidual(server netip.AddrPort, expiry time.Duration) {
+	c.residual.Seed(server, expiry)
 }

@@ -215,12 +215,13 @@ func TestBenignTrafficPasses(t *testing.T) {
 
 func TestResidualCarrierMaxMerge(t *testing.T) {
 	c := New(censor.Default(), nil)
-	c.SeedResidual("198.51.100.9:80", 40*time.Second)
-	c.SeedResidual("198.51.100.9:80", 20*time.Second) // shorter: must lose
+	server := netip.AddrPortFrom(srv, 80)
+	c.SeedResidual(server, 40*time.Second)
+	c.SeedResidual(server, 20*time.Second) // shorter: must lose
 	var got time.Duration
-	c.ExportResidual(10*time.Second, func(key string, remaining time.Duration) {
-		if key != "198.51.100.9:80" {
-			t.Errorf("key = %q", key)
+	c.ExportResidual(10*time.Second, func(key netip.AddrPort, remaining time.Duration) {
+		if key != server {
+			t.Errorf("key = %v", key)
 		}
 		got = remaining
 	})
@@ -229,7 +230,7 @@ func TestResidualCarrierMaxMerge(t *testing.T) {
 	}
 	// Expired windows are not exported.
 	n := 0
-	c.ExportResidual(time.Hour, func(string, time.Duration) { n++ })
+	c.ExportResidual(time.Hour, func(netip.AddrPort, time.Duration) { n++ })
 	if n != 0 {
 		t.Error("expired window exported")
 	}
@@ -251,5 +252,54 @@ func TestPipelinedForbiddenRequestTornDown(t *testing.T) {
 	}
 	if c.Censored != 1 {
 		t.Errorf("Censored = %d, want 1", c.Censored)
+	}
+}
+
+// TestResidualExpiryBoundary pins the residual window's inclusive end: a
+// fresh connection's ACK at exactly taint+ResidualWindow is still torn
+// down, and the first instant past it passes.
+func TestResidualExpiryBoundary(t *testing.T) {
+	c := New(censor.Default(), nil)
+	c.Process(trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")), netsim.ToServer, 0)
+	ack := packet.New(cli, srv, 40001, 80)
+	ack.TCP.Flags = packet.FlagACK
+	if v := c.Process(ack, netsim.ToServer, ResidualWindow); v.Note != "residual censorship" {
+		t.Errorf("ACK at exactly taint+%v not torn down (note %q)", ResidualWindow, v.Note)
+	}
+	if v := c.Process(ack, netsim.ToServer, ResidualWindow+time.Nanosecond); len(v.InjectToClient)+len(v.InjectToServer) != 0 {
+		t.Error("ACK just past the residual window was torn down")
+	}
+}
+
+// TestTaintNeverShortens pins the taint's max-merge: a tear-down against a
+// server whose window is already longer (seeded from the fleet ledger)
+// keeps the longer expiry, where the GFW's re-open overwrites it.
+func TestTaintNeverShortens(t *testing.T) {
+	c := New(censor.Default(), nil)
+	c.SeedResidual(netip.AddrPortFrom(srv, 80), 200*time.Second)
+	c.Process(trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")), netsim.ToServer, 10*time.Second)
+	ack := packet.New(cli, srv, 40001, 80)
+	ack.TCP.Flags = packet.FlagACK
+	if v := c.Process(ack, netsim.ToServer, 150*time.Second); v.Note != "residual censorship" {
+		t.Errorf("taint at 10s shortened the seeded 200s window (note %q)", v.Note)
+	}
+}
+
+// TestResidualTableBoundedGrowth taints many distinct servers, spaced
+// beyond the residual window, and checks the table does not keep the
+// expired windows of servers no client revisits.
+func TestResidualTableBoundedGrowth(t *testing.T) {
+	c := New(censor.Default(), nil)
+	const rounds = 50
+	for i := 0; i < rounds; i++ {
+		p := trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"))
+		p.IP.Dst = netip.AddrFrom4([4]byte{198, 51, 100, byte(i)}) // a distinct server per round
+		c.Process(p, netsim.ToServer, time.Duration(i)*100*time.Second)
+	}
+	if c.Censored != rounds {
+		t.Fatalf("censored %d flows, want %d", c.Censored, rounds)
+	}
+	if got := c.residual.Len(); got > 1 {
+		t.Errorf("residual table holds %d entries after %d expired-and-silent servers, want <= 1", got, rounds)
 	}
 }

@@ -571,10 +571,10 @@ func clientAddr(country string, slot int, unprotected bool) netip.Addr {
 // setup CPU before pooling.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
-// residualLedger maps a residual-censorship server key to the longest
+// residualLedger maps a residually censored server ip:port to the longest
 // remaining window any cell of one country reported at the last wave
 // barrier.
-type residualLedger map[string]time.Duration
+type residualLedger map[netip.AddrPort]time.Duration
 
 // inflight is one connection awaiting settlement in a wave: its current
 // attempt, plus the per-connection state that rides along across reconnects
@@ -894,11 +894,11 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 	// unchanged by its own ledger contribution.
 	if c.resid != nil && len(ledger) > 0 {
 		now := c.net.Clock.Now()
-		for key, remaining := range ledger {
+		for server, remaining := range ledger {
 			if remaining <= c.wl.WaveGap {
 				continue
 			}
-			c.resid.SeedResidual(key, now+remaining-c.wl.WaveGap)
+			c.resid.SeedResidual(server, now+remaining-c.wl.WaveGap)
 			sh.local.Inc(mResidualSeeded)
 		}
 	}
@@ -1004,9 +1004,9 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 
 	if c.resid != nil {
 		now := c.net.Clock.Now()
-		c.resid.ExportResidual(now, func(key string, remaining time.Duration) {
-			if cur, ok := sh.exports[key]; !ok || remaining > cur {
-				sh.exports[key] = remaining
+		c.resid.ExportResidual(now, func(server netip.AddrPort, remaining time.Duration) {
+			if cur, ok := sh.exports[server]; !ok || remaining > cur {
+				sh.exports[server] = remaining
 			}
 			sh.local.Inc(mResidualPublished)
 		})
