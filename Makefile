@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-evolve bench-trial bench-fleet bench-hotpath bench-gate bench-compare alloc-budget fleet-determinism selector-determinism fuzz-smoke evaluate figures short cover race
+.PHONY: all build test vet lint bench bench-evolve bench-trial bench-fleet bench-hotpath bench-gate bench-compare alloc-budget engine-determinism differential fleet-determinism selector-determinism metrics-determinism pool-clobberfree fuzz-seeds fuzz-smoke evaluate figures short cover race
 
 all: build vet test
 
@@ -26,6 +26,18 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# require-tests fails unless every |-separated alternative of the test
+# pattern $(1) names at least one test, fuzz target or example in the
+# packages $(2). Every pattern-filtered gate below runs it first, so a
+# renamed or deleted test cannot silently empty a gate: `go test -run` and
+# `go test -fuzz` both pass when their pattern matches nothing.
+define require-tests
+	@for alt in $$(printf '%s' '$(1)' | tr '|' ' '); do \
+		n=$$($(GO) test -list "$$alt" $(2) | grep -cE '^(Test|Fuzz|Example)'); \
+		if [ "$$n" -eq 0 ]; then echo "pattern '$$alt' selects no test in $(2)"; exit 1; fi; \
+	done
+endef
 
 # One pass over the evolution-engine benchmarks (cache hit rates + worker
 # scaling); the CI smoke step runs exactly this.
@@ -59,11 +71,31 @@ bench-fleet-gate:
 	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -benchtime 1x -timeout 30m . | \
 		$(GO) run ./tools/benchjson -compare BENCH_fleet.json -compare-metrics $(GATE_METRICS)
 
+# The evaluation-engine determinism gate: the parallel, cached population
+# engine must produce the exact Result of an uncached serial reference (a
+# BatchFitness loop over FitnessFor, built inside the test) at GOMAXPROCS
+# 1/2/8; the GA's first-occurrence parsimony rule holds on the batch path;
+# and every RateStats count is identical at 1, 2 and 8 trial workers. CI
+# runs exactly this.
+ENGINE_RUN = Deterministic|BatchMatchesSequential|BatchSeam|ParsimonyFirstOccurrence|Evaluator|FitnessCache|EvolveWithStats|RateStatsWidthInvariance
+engine-determinism:
+	$(call require-tests,$(ENGINE_RUN),./...)
+	$(GO) test -race -shuffle=on -run '$(ENGINE_RUN)' ./...
+
+# The cross-censor differential golden plus the registry's structural
+# checks. CI runs exactly this.
+DIFFERENTIAL_RUN = TestDifferential|TestRegistry
+differential:
+	$(call require-tests,$(DIFFERENTIAL_RUN),./internal/eval/)
+	$(GO) test -race -run '$(DIFFERENTIAL_RUN)' ./internal/eval/
+
 # The fleet determinism gate: the whole FleetResult must be bit-identical
 # across the workers × shards matrix (1/2/8 × 1/2/8 plus shards=auto), with
 # a live residual ledger, under the race detector. CI runs exactly this.
+FLEET_DETERMINISM_RUN = TestFleetDeterminism|TestFleetMetricsMatchResult|TestFleetResidualLedgerProperty|TestFleetLongHorizonShardInvariance
 fleet-determinism:
-	$(GO) test -race -run 'TestFleetDeterminism|TestFleetMetricsMatchResult|TestFleetResidualLedgerProperty|TestFleetLongHorizonShardInvariance' -v . ./internal/fleet/
+	$(call require-tests,$(FLEET_DETERMINISM_RUN),. ./internal/fleet/)
+	$(GO) test -race -run '$(FLEET_DETERMINISM_RUN)' -v . ./internal/fleet/
 
 # The control-plane determinism gate: with online selection live (bandit
 # pulls, barrier merges, a mid-run censor shift) the FleetResult must stay
@@ -71,8 +103,10 @@ fleet-determinism:
 # must be byte-identical to the committed pre-control-plane goldens; and the
 # collapse-and-recover scenario must hold. Runs under the race detector next
 # to the selector's own unit determinism tests. CI runs exactly this.
+SELECTOR_DETERMINISM_RUN = TestFleetSelectionDeterminism|TestFleetPinnedByteIdentity|TestFleetCollapseAndRecover
 selector-determinism:
-	$(GO) test -race -run 'TestFleetSelectionDeterminism|TestFleetPinnedByteIdentity|TestFleetCollapseAndRecover' -v .
+	$(call require-tests,$(SELECTOR_DETERMINISM_RUN),.)
+	$(GO) test -race -run '$(SELECTOR_DETERMINISM_RUN)' -v .
 	$(GO) test -race ./internal/selector/
 
 # Hot-path microbenchmarks: the netsim event queue and the per-censor
@@ -103,8 +137,32 @@ bench-compare:
 # The allocation-budget tripwires: fail when the zero-alloc hot paths, the
 # per-trial budget, or the fleet's per-connection budget regress. CI runs
 # exactly this.
+ALLOC_BUDGET_RUN = TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget
+ALLOC_BUDGET_PKGS = ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
 alloc-budget:
-	$(GO) test -run 'TestAllocBudget|TestTrialAllocBudget|TestFleetAllocBudget' -v ./internal/packet/ ./internal/core/ ./internal/eval/ ./internal/fleet/
+	$(call require-tests,$(ALLOC_BUDGET_RUN),$(ALLOC_BUDGET_PKGS))
+	$(GO) test -run '$(ALLOC_BUDGET_RUN)' -v $(ALLOC_BUDGET_PKGS)
+
+# Counters observe and never steer: evolve and impaired trial rates must be
+# bit-identical with metrics on and off, and counter totals identical at any
+# worker width. CI runs exactly this.
+metrics-determinism:
+	$(call require-tests,TestMetrics,./internal/eval/)
+	$(GO) test -race -shuffle=on -run 'TestMetrics' ./internal/eval/
+
+# Pool safety: GODEBUG=clobberfree poisons freed memory, so if any recycled
+# packet buffer is still referenced the bit-identical recycling tests
+# diverge. CI runs exactly this.
+POOL_RUN = TestPool|TestRecycling
+pool-clobberfree:
+	$(call require-tests,$(POOL_RUN),./internal/packet/ ./internal/eval/)
+	GODEBUG=clobberfree=1 $(GO) test -run '$(POOL_RUN)' ./internal/packet/ ./internal/eval/
+
+# Replay every fuzz target's seed corpus as plain tests. CI runs exactly
+# this.
+fuzz-seeds:
+	$(call require-tests,Fuzz,./...)
+	$(GO) test -short -run Fuzz ./...
 
 # Coverage-guided fuzzing bursts — the fuzz targets promoted from
 # seed-corpus-only to live mutation. Go's fuzz engine takes one -fuzz
@@ -112,6 +170,12 @@ alloc-budget:
 # CI runs exactly this with the default budget.
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(call require-tests,^FuzzDNSQueryName$$|^FuzzExtractSNI$$|^FuzzHTTPParsers$$,./internal/apps/)
+	$(call require-tests,^FuzzParse$$|^FuzzTCPUnmarshal$$|^FuzzHTTPRequestMatch$$,./internal/packet/)
+	$(call require-tests,^FuzzParse$$,./internal/core/)
+	$(call require-tests,^FuzzImpairments$$|^FuzzEventQueue$$,./internal/netsim/)
+	$(call require-tests,^FuzzIndiaProcess$$,./internal/censor/india/)
+	$(call require-tests,^FuzzTMCProcess$$,./internal/censor/tmc/)
 	$(GO) test -fuzz '^FuzzDNSQueryName$$' -fuzztime $(FUZZTIME) ./internal/apps/
 	$(GO) test -fuzz '^FuzzExtractSNI$$' -fuzztime $(FUZZTIME) ./internal/apps/
 	$(GO) test -fuzz '^FuzzHTTPParsers$$' -fuzztime $(FUZZTIME) ./internal/apps/

@@ -210,24 +210,6 @@ func BenchmarkEvolve(b *testing.B) {
 			}
 		})
 	}
-	// Cache ablation on the same reference run: the no-cache column is the
-	// price of re-measuring elites and clones every generation.
-	for _, noCache := range []bool{false, true} {
-		noCache := noCache
-		b.Run(fmt.Sprintf("china/http/cache=%v", !noCache), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _ = eval.Evolve(eval.EvolveOptions{
-					Country:       eval.CountryChina,
-					Protocol:      "http",
-					Population:    48,
-					Generations:   3,
-					TrialsPerEval: 4,
-					Seed:          29,
-					NoCache:       noCache,
-				})
-			}
-		})
-	}
 }
 
 // BenchmarkEvolution runs a small §4.1 training round per iteration.

@@ -54,6 +54,11 @@ func main() {
 	jitter := flag.Duration("jitter", 0, "robustness sweep: max random extra delivery delay (e.g. 3ms)")
 	diag := profiling.Register("write a structured run manifest (JSON) to this file; implies -metrics")
 	flag.Parse()
+	base, ladder, err := impairmentFlags(*loss, *dup, *reorder, *jitter)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	eval.SetWorkers(*workers)
 	diag.Start()
 	start := time.Now()
@@ -71,18 +76,8 @@ func main() {
 		runExperiment(*experiment, *trials)
 		any = true
 	}
-	if (*loss != -1 && (*loss < 0 || *loss > 1)) || *dup < 0 || *dup > 1 ||
-		*reorder < 0 || *reorder > 1 || *jitter < 0 {
-		fmt.Fprintln(os.Stderr, "impairment flags: -loss/-dup/-reorder must be probabilities in [0,1] and -jitter non-negative")
-		os.Exit(2)
-	}
-	if *loss >= 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {
-		var ladder []float64
-		if *loss >= 0 {
-			ladder = []float64{*loss}
-		}
-		runRobustness(netsim.Profile{Duplicate: *dup, Reorder: *reorder, Jitter: *jitter},
-			ladder, *trials)
+	if ladder != nil || base != (netsim.Profile{}) {
+		runRobustness(base, ladder, *trials)
 		any = true
 	}
 	if !any {
@@ -109,6 +104,33 @@ func main() {
 	// The harness's experiment seed bases are fixed in source; the schedule
 	// records the derivation every trial applies to its base.
 	diag.Finish(obs.NewManifest("evaluate", cfg, obs.DefaultSeedSchedule(0)), profiling.PrintMetrics)
+}
+
+// impairmentFlags turns the robustness flags into the sweep's non-loss
+// profile and its loss ladder (nil when -loss is left at its -1 "unset"
+// sentinel). Each flag is checked on its own by netsim.Profile.Validate,
+// the check every other entry point applies, so the error names the flag.
+func impairmentFlags(loss, dup, reorder float64, jitter time.Duration) (netsim.Profile, []float64, error) {
+	var ladder []float64
+	if loss == -1 {
+		loss = 0
+	} else {
+		ladder = []float64{loss}
+	}
+	for _, f := range []struct {
+		name string
+		p    netsim.Profile
+	}{
+		{"-loss", netsim.Profile{Loss: loss}},
+		{"-dup", netsim.Profile{Duplicate: dup}},
+		{"-reorder", netsim.Profile{Reorder: reorder}},
+		{"-jitter", netsim.Profile{Jitter: jitter}},
+	} {
+		if err := f.p.Validate(); err != nil {
+			return netsim.Profile{}, nil, fmt.Errorf("impairment flag %s: %w", f.name, err)
+		}
+	}
+	return netsim.Profile{Duplicate: dup, Reorder: reorder, Jitter: jitter}, ladder, nil
 }
 
 func header(s string) { fmt.Printf("\n=== %s ===\n\n", s) }

@@ -13,10 +13,10 @@ type Matcher func(*packet.Packet) bool
 
 func matchNone(*packet.Packet) bool { return false }
 
-// Compile lowers the trigger into a Matcher with semantics identical to
-// Matches — including its quirks: a flags value that is not in canonical
-// FSRPAU order (or repeats a letter) never matches, because Matches compares
-// against FlagsString output; a non-numeric value on a numeric field never
+// Compile lowers the trigger into a Matcher. A trigger demands an exact
+// match on its one field: a flags value matches only when it is written in
+// canonical FSRPAU order (the FlagsString form), so a reordered or repeated
+// letter never matches; a non-numeric value on a numeric field never
 // matches; an unknown proto/field never matches.
 func (tr Trigger) Compile() Matcher {
 	switch tr.Proto {

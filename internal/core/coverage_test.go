@@ -22,7 +22,12 @@ func TestTriggerNumericFields(t *testing.T) {
 		{Trigger{Proto: "TCP", Field: "window", Value: "ten"}, false},
 		{Trigger{Proto: "IP", Field: "ttl", Value: "64"}, true},
 		{Trigger{Proto: "IP", Field: "version", Value: "0"}, true}, // unset until marshal
+		{Trigger{Proto: "IPv4", Field: "ttl", Value: "64"}, true},
 		{Trigger{Proto: "IP", Field: "nosuch", Value: "1"}, false},
+		// Flags match only in canonical FSRPAU order.
+		{Trigger{Proto: "TCP", Field: "flags", Value: "SA"}, true},
+		{Trigger{Proto: "TCP", Field: "flags", Value: "AS"}, false},
+		{Trigger{Proto: "TCP", Field: "flags", Value: "SAA"}, false},
 		{Trigger{Proto: "UDP", Field: "sport", Value: "80"}, false},
 	}
 	for _, c := range cases {

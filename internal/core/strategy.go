@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strconv"
 	"strings"
 
 	"geneva/internal/packet"
@@ -17,39 +16,9 @@ type Trigger struct {
 	Value string
 }
 
-// Matches reports whether pkt matches the trigger.
-func (tr Trigger) Matches(pkt *packet.Packet) bool {
-	switch tr.Proto {
-	case "TCP":
-		switch tr.Field {
-		case "flags":
-			return packet.FlagsString(pkt.TCP.Flags) == tr.Value
-		case "sport":
-			return numEq(uint64(pkt.TCP.SrcPort), tr.Value)
-		case "dport":
-			return numEq(uint64(pkt.TCP.DstPort), tr.Value)
-		case "seq":
-			return numEq(uint64(pkt.TCP.Seq), tr.Value)
-		case "ack":
-			return numEq(uint64(pkt.TCP.Ack), tr.Value)
-		case "window":
-			return numEq(uint64(pkt.TCP.Window), tr.Value)
-		}
-	case "IP", "IPv4":
-		switch tr.Field {
-		case "ttl":
-			return numEq(uint64(pkt.IP.TTL), tr.Value)
-		case "version":
-			return numEq(uint64(pkt.IP.Version), tr.Value)
-		}
-	}
-	return false
-}
-
-func numEq(v uint64, s string) bool {
-	want, err := strconv.ParseUint(s, 10, 64)
-	return err == nil && v == want
-}
+// Matches reports whether pkt matches the trigger: the compiled matcher,
+// built for a single use.
+func (tr Trigger) Matches(pkt *packet.Packet) bool { return tr.Compile()(pkt) }
 
 func (tr Trigger) String() string {
 	var b strings.Builder

@@ -1,6 +1,10 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+
+	"geneva/internal/censor/gfw"
+)
 
 func TestAblationsShowMechanismsAreLoadBearing(t *testing.T) {
 	if testing.Short() {
@@ -68,6 +72,36 @@ func TestStrategyRuleDependence(t *testing.T) {
 	for num, row := range dep {
 		if row["full"] < 0.1 {
 			t.Errorf("strategy %d full model rate %.2f — suspiciously low", num, row["full"])
+		}
+	}
+}
+
+// TestIdentityVariantIsProductionChina: the ablation baseline is the
+// production China censor. With no parameter rewritten, a variant must
+// measure exactly what Rate measures against CountryChina at the same seeds
+// — same boxes, same shared rng stream, same try loop.
+func TestIdentityVariantIsProductionChina(t *testing.T) {
+	for _, c := range []struct {
+		strategy int
+		proto    string
+		seed     int64
+	}{
+		{3, "ftp", 300},
+		{4, "ftp", 500},
+		{5, "http", 1100},
+	} {
+		s, _ := byNumber(c.strategy)
+		got := gfwVariant(func(*gfw.Params) {}, s, c.proto, 200, c.seed)
+		want := Rate(Config{
+			Country:  CountryChina,
+			Session:  SessionFor(CountryChina, c.proto, true),
+			Strategy: s,
+			Tries:    TriesFor(c.proto),
+			Seed:     c.seed,
+		}, 200)
+		if got != want {
+			t.Errorf("strategy %d/%s seed %d: identity variant %.3f, production China %.3f",
+				c.strategy, c.proto, c.seed, got, want)
 		}
 	}
 }

@@ -41,10 +41,10 @@ func (c *carrierBox) Process(pkt *packet.Packet, dir netsim.Direction, now time.
 // cellular middlebox; the result maps carrier -> strategy number -> works.
 // Wifi (no middlebox) is the control.
 func CarrierInterference() map[string]map[int]bool {
-	carriers := map[string]*carrierBox{
+	carriers := map[string]netsim.Middlebox{
 		"wifi":    nil,
-		"tmobile": {name: "T-Mobile", dropLoadedSyn: false},
-		"att":     {name: "AT&T", dropLoadedSyn: true},
+		"tmobile": &carrierBox{name: "T-Mobile", dropLoadedSyn: false},
+		"att":     &carrierBox{name: "AT&T", dropLoadedSyn: true},
 	}
 	out := make(map[string]map[int]bool)
 	for cname, box := range carriers {
@@ -58,19 +58,14 @@ func CarrierInterference() map[string]map[int]bool {
 }
 
 // carrierTrial runs one censor-free connection behind the given middlebox.
-func carrierTrial(box *carrierBox, strategy *core.Strategy) bool {
+func carrierTrial(box netsim.Middlebox, strategy *core.Strategy) bool {
 	session := SessionFor(CountryNone, "http", true)
 	client := tcpstack.NewEndpoint(ClientAddr, tcpstack.DefaultClient, rand.New(rand.NewSource(1)))
 	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rand.New(rand.NewSource(2)))
 	server.NewServerApp = session.ServerFactory()
 	server.Listen(session.Port)
 	server.Outbound = core.NewEngine(strategy, rand.New(rand.NewSource(3))).Outbound
-	var n *netsim.Network
-	if box != nil {
-		n = netsim.New(client, server, box)
-	} else {
-		n = netsim.New(client, server)
-	}
+	n := netsim.New(client, server, box)
 	client.Attach(n)
 	server.Attach(n)
 	app := session.NewClient()

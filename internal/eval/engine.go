@@ -37,7 +37,7 @@ func Workers() int {
 }
 
 // EvalStats counts an Evaluator's fitness-cache traffic. Counts depend only
-// on the sequence of BatchFitness/Fitness calls, never on worker scheduling,
+// on the sequence of BatchFitness calls, never on worker scheduling,
 // so they are as reproducible as the fitness values themselves.
 type EvalStats struct {
 	// Hits counts strategies answered from the cross-call cache.
@@ -74,8 +74,9 @@ func (s EvalStats) String() string {
 // fitness cache and a bounded worker pool over individuals. Because a
 // strategy's fitness here is a pure function of its canonical text and the
 // seed base (every sample reuses the same seed schedule), cached and
-// parallel evaluation return bit-identical values to the sequential path;
-// the determinism suite in engine_test.go enforces exactly that.
+// parallel evaluation return bit-identical values to an uncached serial
+// loop over FitnessFor; the determinism suite in engine_test.go enforces
+// exactly that.
 //
 // Its BatchFitness method satisfies genetic.Config.BatchFitness. An
 // Evaluator is safe for concurrent use.
@@ -83,11 +84,6 @@ type Evaluator struct {
 	// Workers bounds the population pool (0 = the package default,
 	// Workers()). Set before first use.
 	Workers int
-	// NoCache disables cross-call memoization — every call re-measures,
-	// though canonical duplicates within one batch still share a single
-	// computation. Fitness is pure, so results are identical either way;
-	// this is the knob the determinism suite turns to prove it.
-	NoCache bool
 
 	country  string
 	protocol string
@@ -122,12 +118,6 @@ func (e *Evaluator) key(s *core.Strategy) string {
 	return s.String()
 }
 
-// Fitness scores one strategy (the genetic.Config.Fitness shape), through
-// the same cache as BatchFitness.
-func (e *Evaluator) Fitness(s *core.Strategy) float64 {
-	return e.BatchFitness([]*core.Strategy{s})[0]
-}
-
 // BatchFitness scores a whole population: the genetic.Config.BatchFitness
 // seam. The batch is first collapsed to unique, uncached canonical
 // strategies (in first-appearance order, so the work list is deterministic);
@@ -147,13 +137,11 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 			mCacheHits.Inc()
 			continue
 		}
-		if !e.NoCache {
-			if f, ok := e.cache[k]; ok {
-				resolved[k] = f
-				e.stats.Hits++
-				mCacheHits.Inc()
-				continue
-			}
+		if f, ok := e.cache[k]; ok {
+			resolved[k] = f
+			e.stats.Hits++
+			mCacheHits.Inc()
+			continue
 		}
 		if pending[k] {
 			e.stats.Dedups++
@@ -190,9 +178,7 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 	e.mu.Lock()
 	for j, i := range todo {
 		resolved[keys[i]] = results[j]
-		if !e.NoCache {
-			e.cache[keys[i]] = results[j]
-		}
+		e.cache[keys[i]] = results[j]
 	}
 	e.stats.Entries = len(e.cache)
 	mCacheEntries.SetMax(uint64(len(e.cache)))

@@ -9,14 +9,24 @@ import (
 
 	"geneva/internal/censor"
 	"geneva/internal/core"
+	"geneva/internal/genetic"
 )
 
-// resultKey flattens the fields of a genetic.Result that define a training
-// outcome: best strategy text, best fitness, and the full per-generation
-// history (which pins generation count, means, and distinct counts too).
+// resultKey runs Evolve and flattens its Result (see resultText).
 func resultKey(t *testing.T, country, proto string, opt EvolveOptions) string {
 	t.Helper()
-	res, _ := Evolve(opt)
+	res, err := Evolve(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resultText(t, country, proto, res)
+}
+
+// resultText flattens the fields of a genetic.Result that define a training
+// outcome: best strategy text, best fitness, and the full per-generation
+// history (which pins generation count, means, and distinct counts too).
+func resultText(t *testing.T, country, proto string, res genetic.Result) string {
+	t.Helper()
 	if res.Best.Strategy == nil {
 		t.Fatalf("%s/%s: no best strategy", country, proto)
 	}
@@ -24,10 +34,24 @@ func resultKey(t *testing.T, country, proto string, opt EvolveOptions) string {
 		res.Best.Strategy.String(), res.Best.Fitness, len(res.History), res.History)
 }
 
+// serialFitness is the reference the evaluation engine is held to: every
+// strategy of every batch measured afresh, one at a time, through
+// FitnessFor — no cache, no in-batch dedup, no population pool.
+func serialFitness(opt EvolveOptions) func([]*core.Strategy) []float64 {
+	fitness := FitnessFor(opt.Country, opt.Protocol, opt.TrialsPerEval, opt.Seed)
+	return func(batch []*core.Strategy) []float64 {
+		out := make([]float64, len(batch))
+		for i, s := range batch {
+			out[i] = fitness(s)
+		}
+		return out
+	}
+}
+
 // TestEvolveBatchMatchesSequentialSeedPath is the GA determinism
-// regression: the parallel+cached engine, at GOMAXPROCS 1, 2, and 8 and
-// with the cache disabled, must produce the exact Result the original
-// sequential per-individual path produces, for {china, kazakhstan} x
+// regression: the parallel+cached engine, at GOMAXPROCS 1, 2, and 8, must
+// produce the exact Result that the same GA configuration produces when
+// scored by the uncached serial reference, for {china, kazakhstan} x
 // {http, ftp}. Fitness is a pure function of (canonical strategy, seed
 // base), so any divergence means the engine leaked scheduling order or
 // cache state into the trajectory.
@@ -44,20 +68,14 @@ func TestEvolveBatchMatchesSequentialSeedPath(t *testing.T) {
 				TrialsPerEval: 2,
 				Seed:          5,
 			}
-			seqOpt := opt
-			seqOpt.Sequential = true
 			runtime.GOMAXPROCS(1)
-			want := resultKey(t, country, proto, seqOpt)
+			ref := gaConfig(opt)
+			ref.BatchFitness = serialFitness(opt)
+			want := resultText(t, country, proto, genetic.Evolve(ref))
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
 				if got := resultKey(t, country, proto, opt); got != want {
-					t.Errorf("%s/%s GOMAXPROCS=%d: batch engine diverged from sequential path\n got %s\nwant %s",
-						country, proto, procs, got, want)
-				}
-				noCache := opt
-				noCache.NoCache = true
-				if got := resultKey(t, country, proto, noCache); got != want {
-					t.Errorf("%s/%s GOMAXPROCS=%d (cache disabled): diverged\n got %s\nwant %s",
+					t.Errorf("%s/%s GOMAXPROCS=%d: batch engine diverged from the serial reference\n got %s\nwant %s",
 						country, proto, procs, got, want)
 				}
 			}
@@ -86,9 +104,9 @@ func TestEvaluatorWorkerWidthInvariance(t *testing.T) {
 }
 
 // TestFitnessCacheProperty is the cache property test: for randomly
-// generated GA-shaped strategies, cached and uncached fitness agree
-// exactly, repeat calls are pure hits, and canonical duplicates share one
-// cache entry.
+// generated GA-shaped strategies, cached fitness agrees exactly with the
+// serial reference, repeat calls are pure hits, and canonical duplicates
+// share one cache entry.
 func TestFitnessCacheProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var batch []*core.Strategy
@@ -104,18 +122,9 @@ func TestFitnessCacheProperty(t *testing.T) {
 	}
 
 	cached := NewEvaluator(CountryKazakhstan, "http", 2, 5)
-	uncached := NewEvaluator(CountryKazakhstan, "http", 2, 5)
-	uncached.NoCache = true
-
 	a := cached.BatchFitness(batch)
-	b := uncached.BatchFitness(batch)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("cached scores %v != uncached scores %v", a, b)
-	}
-	for i, s := range batch {
-		if f := cached.Fitness(s); f != a[i] {
-			t.Errorf("strategy %d (%s): single fitness %v != batch fitness %v", i, s, f, a[i])
-		}
+	if b := serialFitness(EvolveOptions{Country: CountryKazakhstan, Protocol: "http", TrialsPerEval: 2, Seed: 5})(batch); !reflect.DeepEqual(a, b) {
+		t.Fatalf("cached scores %v != serial reference scores %v", a, b)
 	}
 
 	st := cached.Stats()
@@ -125,17 +134,12 @@ func TestFitnessCacheProperty(t *testing.T) {
 	if st.Misses != len(distinct) {
 		t.Errorf("%d computations for %d distinct strategies", st.Misses, len(distinct))
 	}
-	// The uncached evaluator still collapses in-batch duplicates but keeps
-	// no entries across calls.
-	ust := uncached.Stats()
-	if ust.Entries != 0 {
-		t.Errorf("NoCache evaluator kept %d entries", ust.Entries)
-	}
-	if ust.Dedups != len(batch)-len(distinct) {
-		t.Errorf("NoCache dedups = %d, want %d", ust.Dedups, len(batch)-len(distinct))
+	if st.Dedups != len(batch)-len(distinct) {
+		t.Errorf("in-batch dedups = %d, want %d", st.Dedups, len(batch)-len(distinct))
 	}
 
-	// Re-scoring the whole batch must be answered entirely from the cache.
+	// Re-scoring the whole batch must be answered entirely from the cache,
+	// whether as one batch or one strategy at a time.
 	misses := st.Misses
 	a2 := cached.BatchFitness(batch)
 	if !reflect.DeepEqual(a2, a) {
@@ -147,6 +151,14 @@ func TestFitnessCacheProperty(t *testing.T) {
 	}
 	if st2.Hits != st.Hits+len(batch) {
 		t.Errorf("re-scoring produced %d hits, want %d", st2.Hits-st.Hits, len(batch))
+	}
+	for i, s := range batch {
+		if f := cached.BatchFitness([]*core.Strategy{s})[0]; f != a[i] {
+			t.Errorf("strategy %d (%s): single fitness %v != batch fitness %v", i, s, f, a[i])
+		}
+	}
+	if st3 := cached.Stats(); st3.Misses != misses {
+		t.Errorf("single-strategy re-scoring computed %d fresh evaluations", st3.Misses-misses)
 	}
 }
 
@@ -161,8 +173,8 @@ func TestFitnessCacheSharedEntryForEqualCanonicalStrings(t *testing.T) {
 		t.Fatalf("clone changed canonical text: %q vs %q", s, clone)
 	}
 	ev := NewEvaluator(CountryKazakhstan, "http", 2, 7)
-	f1 := ev.Fitness(s)
-	f2 := ev.Fitness(clone)
+	f1 := ev.BatchFitness([]*core.Strategy{s})[0]
+	f2 := ev.BatchFitness([]*core.Strategy{clone})[0]
 	if f1 != f2 {
 		t.Errorf("canonical twins scored differently: %v vs %v", f1, f2)
 	}

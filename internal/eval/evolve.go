@@ -36,14 +36,6 @@ type EvolveOptions struct {
 	// Workers bounds the population-evaluation pool (0 = eval.Workers(),
 	// one worker per CPU). Any width returns the same Result.
 	Workers int
-	// NoCache disables the cross-generation fitness memo, re-measuring
-	// every canonical strategy each generation. Fitness is pure, so the
-	// Result is identical; the determinism suite turns this knob.
-	NoCache bool
-	// Sequential forces the original one-strategy-at-a-time fitness path
-	// (no batch seam, no population pool, no eval-side cache) — the
-	// reference implementation the parallel engine is tested against.
-	Sequential bool
 }
 
 // Evolve runs Geneva server-side against a simulated censor, as the paper
@@ -59,7 +51,6 @@ func Evolve(opt EvolveOptions) (genetic.Result, error) {
 }
 
 // EvolveWithStats is Evolve plus the evaluation engine's cache statistics.
-// On the Sequential path the stats are zero (there is no engine).
 func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 	if err := CheckCountryProtocol(opt.Country, opt.Protocol); err != nil {
 		return genetic.Result{}, EvalStats{}, err
@@ -67,7 +58,18 @@ func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 	if opt.TrialsPerEval == 0 {
 		opt.TrialsPerEval = 10
 	}
-	cfg := genetic.Config{
+	ev := NewEvaluator(opt.Country, opt.Protocol, opt.TrialsPerEval, opt.Seed)
+	ev.Workers = opt.Workers
+	cfg := gaConfig(opt)
+	cfg.BatchFitness = ev.BatchFitness
+	res := genetic.Evolve(cfg)
+	return res, ev.Stats(), nil
+}
+
+// gaConfig is the genetic configuration of a training run, without its
+// fitness.
+func gaConfig(opt EvolveOptions) genetic.Config {
+	return genetic.Config{
 		PopulationSize: opt.Population,
 		Generations:    opt.Generations,
 		TriggerValue:   "SA",
@@ -78,16 +80,6 @@ func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 		EvolveTrigger: opt.Protocol == "ftp",
 		Rng:           rand.New(rand.NewSource(opt.Seed)),
 	}
-	if opt.Sequential {
-		cfg.Fitness = FitnessFor(opt.Country, opt.Protocol, opt.TrialsPerEval, opt.Seed)
-		return genetic.Evolve(cfg), EvalStats{}, nil
-	}
-	ev := NewEvaluator(opt.Country, opt.Protocol, opt.TrialsPerEval, opt.Seed)
-	ev.Workers = opt.Workers
-	ev.NoCache = opt.NoCache
-	cfg.BatchFitness = ev.BatchFitness
-	res := genetic.Evolve(cfg)
-	return res, ev.Stats(), nil
 }
 
 // randomEvolvable builds a random GA-shaped strategy (exposed for the fuzz

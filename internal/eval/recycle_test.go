@@ -89,75 +89,6 @@ func TestRecyclingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRingRecorderMatchesTrace pins the recorder plumbing: a RingRecorder
-// big enough to hold everything observes exactly the entries the full
-// Trace records, clone-isolated from the recycled originals.
-func TestRingRecorderMatchesTrace(t *testing.T) {
-	s1, _ := strategies.ByNumber(1)
-	cfg := Config{
-		Country:   CountryChina,
-		Session:   SessionFor(CountryChina, "http", true),
-		Strategy:  s1.Parse(),
-		Seed:      7,
-		WithTrace: true,
-	}
-	rig := NewRig(cfg)
-	ring := netsim.NewRingRecorder(4096)
-	rig.Net.Recorder = ring
-	rig.Attempt()
-
-	full := rig.Net.Trace.Entries
-	got := ring.Entries()
-	if len(full) == 0 {
-		t.Fatal("trace recorded nothing")
-	}
-	if len(got) != len(full) {
-		t.Fatalf("ring recorded %d entries, trace %d", len(got), len(full))
-	}
-	for i := range full {
-		a, b := full[i], got[i]
-		if a.Time != b.Time || a.Dir != b.Dir || a.Note != b.Note ||
-			a.Pkt.String() != b.Pkt.String() {
-			t.Fatalf("entry %d differs:\ntrace: %v %v %q %s\nring:  %v %v %q %s",
-				i, a.Time, a.Dir, a.Note, a.Pkt.String(),
-				b.Time, b.Dir, b.Note, b.Pkt.String())
-		}
-	}
-}
-
-// TestRingRecorderBounded pins the ring semantics: capacity n keeps the
-// newest n entries, oldest-first.
-func TestRingRecorderBounded(t *testing.T) {
-	s1, _ := strategies.ByNumber(1)
-	cfg := Config{
-		Country:   CountryChina,
-		Session:   SessionFor(CountryChina, "http", true),
-		Strategy:  s1.Parse(),
-		Seed:      7,
-		WithTrace: true,
-	}
-	rig := NewRig(cfg)
-	const n = 5
-	ring := netsim.NewRingRecorder(n)
-	rig.Net.Recorder = ring
-	rig.Attempt()
-
-	full := rig.Net.Trace.Entries
-	got := ring.Entries()
-	if len(full) <= n {
-		t.Skipf("trial produced only %d entries; need more than %d", len(full), n)
-	}
-	if len(got) != n {
-		t.Fatalf("ring holds %d entries, want %d", len(got), n)
-	}
-	tail := full[len(full)-n:]
-	for i := range tail {
-		if tail[i].Note != got[i].Note || tail[i].Pkt.String() != got[i].Pkt.String() {
-			t.Fatalf("ring entry %d is not the trace tail: %q vs %q", i, got[i].Note, tail[i].Note)
-		}
-	}
-}
-
 // TestTrialAllocBudget pins the end-to-end per-trial allocation budget.
 // The seed PR measured ~151 allocs per China/http trial; the pooled hot
 // path runs at ~61. The budget leaves headroom for cross-seed variance but

@@ -155,15 +155,10 @@ func NewRig(cfg Config) *Rig {
 	}
 
 	cen := NewCensor(cfg.Country, bl, rand.New(rand.NewSource(seed+3)))
-	var n *netsim.Network
-	if cen != nil {
-		n = netsim.New(client, server, cen)
-	} else {
-		n = netsim.New(client, server)
-	}
+	n := netsim.New(client, server, cen)
 	// Recycling is safe here because every component in the rig — endpoints,
 	// censors, apps — copies what it keeps and never retains a delivered
-	// *Packet (recorders clone at record time), so delivered packets can go
+	// *Packet (the Trace clones at record time), so delivered packets can go
 	// straight back to the pool.
 	n.RecyclePackets = true
 	if cfg.WithTrace {
@@ -210,12 +205,11 @@ func (r *Rig) CensorEvents() int {
 // Run executes the trial: up to cfg.Tries attempts, retrying only when the
 // previous connection was torn down (the RFC 7766 client behaviour the
 // paper leans on for DNS success rates).
-func Run(cfg Config) Result {
-	rig := NewRig(cfg)
-	tries := cfg.Tries
-	if tries <= 0 {
-		tries = 1
-	}
+func Run(cfg Config) Result { return NewRig(cfg).run(cfg.Tries) }
+
+// run is Run's try loop on an already built rig.
+func (rig *Rig) run(tries int) Result {
+	tries = max(tries, 1)
 	res := Result{Censor: rig.Censor, Rig: rig}
 	for i := 0; i < tries; i++ {
 		app := rig.Attempt()
@@ -275,7 +269,11 @@ func (r RateResult) Rate() float64 {
 // cfg.Workers (0 = the process default; 1 runs them inline, in order). Each
 // trial keeps only its counts, so its rig is garbage as soon as it settles,
 // and the fold is a commutative sum, identical at any width.
-func RateStats(cfg Config, trials int) RateResult {
+func RateStats(cfg Config, trials int) RateResult { return rateStats(cfg, trials, nil) }
+
+// rateStats is RateStats with an optional edit applied to each trial's rig
+// before its first attempt (the ablations rewrite censor parameters there).
+func rateStats(cfg Config, trials int, edit func(*Rig)) RateResult {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = Workers()
@@ -284,7 +282,11 @@ func RateStats(cfg Config, trials int) RateResult {
 	RunParallel(workers, trials, func(i int) {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*7919
-		res := Run(c)
+		rig := NewRig(c)
+		if edit != nil {
+			edit(rig)
+		}
+		res := rig.run(c.Tries)
 		per[i] = RateResult{Trials: 1, Attempts: res.Attempts, CensorEvents: res.CensorEvents}
 		if res.Success {
 			per[i].Succeeded = 1

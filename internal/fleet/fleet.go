@@ -390,6 +390,10 @@ type cellResult struct {
 	stats         CountryStats
 	tornDown      int // established, then censored or corrupted
 	unestablished int // handshake never completed on any attempt
+	// Residual windows this cell exported into its country's ledger at wave
+	// barriers, and ledger windows planted into its censor at wave starts.
+	residualPublished int
+	residualSeeded    int
 }
 
 // withDefaults resolves the zero-value fields. It returns a copy; the
@@ -760,11 +764,7 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	c.cen = eval.NewCensor(cp.country, censor.Default(), c.rng(cellSeed+seedCensor))
 	c.resid, _ = c.cen.(censor.ResidualCarrier)
 	c.shifter, _ = c.cen.(censor.ParamShifter)
-	if c.cen != nil {
-		c.net = netsim.NewMulti(c.server, hosts, c.cen)
-	} else {
-		c.net = netsim.NewMulti(c.server, hosts)
-	}
+	c.net = netsim.NewMulti(c.server, hosts, c.cen)
 	c.net.RecyclePackets = true
 	if im := netsim.Symmetric(wl.Impairments); im.Enabled() {
 		c.net.SetImpairments(im, c.rng(cellSeed+seedImpairments))
@@ -899,7 +899,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 				continue
 			}
 			c.resid.SeedResidual(server, now+remaining-c.wl.WaveGap)
-			sh.local.Inc(mResidualSeeded)
+			c.res.residualSeeded++
 		}
 	}
 
@@ -1008,7 +1008,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 			if cur, ok := sh.exports[server]; !ok || remaining > cur {
 				sh.exports[server] = remaining
 			}
-			sh.local.Inc(mResidualPublished)
+			c.res.residualPublished++
 		})
 	}
 }
@@ -1083,12 +1083,11 @@ func (c *cell) finish() cellResult {
 
 // shardRun is one scheduling shard: a contiguous slice of one country's
 // cells plus the shard-local state the wave barrier merges — the residual
-// windows its cells exported and the batched counters.
+// windows its cells exported.
 type shardRun struct {
 	country string
 	cells   []*cell
 	exports residualLedger
-	local   obs.Local
 }
 
 // buildShards groups cells into per-country scheduling shards. plan emits
@@ -1181,7 +1180,6 @@ func Run(wl Workload) (Result, error) {
 		})
 		next := map[string]residualLedger{}
 		for _, sh := range shards {
-			sh.local.Flush()
 			if len(sh.exports) == 0 {
 				continue
 			}
@@ -1210,14 +1208,17 @@ func Run(wl Workload) (Result, error) {
 	// totals are sums over PerCountry, and the fleet counters are published
 	// from the finished Result, so every outcome is counted exactly once.
 	out := Result{Cells: len(cells), PerCountry: map[string]CountryStats{}}
-	var tornDown, unestablished, waves, widest int
+	var sum cellResult // everything but stats, which merge per country
+	var waves, widest int
 	for _, c := range cells {
 		cr := c.finish()
 		cs := out.PerCountry[c.plan.country]
 		cs.add(cr.stats)
 		out.PerCountry[c.plan.country] = cs
-		tornDown += cr.tornDown
-		unestablished += cr.unestablished
+		sum.tornDown += cr.tornDown
+		sum.unestablished += cr.unestablished
+		sum.residualPublished += cr.residualPublished
+		sum.residualSeeded += cr.residualSeeded
 		waves += len(c.byWave)
 		for _, idxs := range c.byWave {
 			widest = max(widest, len(idxs))
@@ -1230,8 +1231,8 @@ func Run(wl Workload) (Result, error) {
 	out.Connections, out.Succeeded = total.Connections, total.Succeeded
 	out.RequestsAttempted, out.RequestsServed = total.RequestsAttempted, total.RequestsServed
 	out.UptimeVirtual, out.LifetimeVirtual = total.UptimeVirtual, total.LifetimeVirtual
-	out.Outcomes = map[string]int{"served": total.Succeeded, "torn_down": tornDown, "never_established": unestablished}
-	publish(out, waves, widest)
+	out.Outcomes = map[string]int{"served": total.Succeeded, "torn_down": sum.tornDown, "never_established": sum.unestablished}
+	publish(out, sum, waves, widest)
 	if ctl.state != nil {
 		out.Fallbacks = int(ctl.state.Fallbacks())
 		for country, cs := range out.PerCountry {

@@ -260,6 +260,14 @@ func TestFleetMetricsMatchResult(t *testing.T) {
 			Reconnect:       ReconnectPolicy{MaxAttempts: 3, Backoff: 50 * time.Second, RetryAll: true},
 			Seed:            1234,
 		}},
+		// A negative wave gap keeps the residual ledger live across
+		// barriers, so windows are both published and seeded.
+		{"liveledger", Workload{
+			Countries:   []string{eval.CountryChina, eval.CountryTurkmenistan},
+			Connections: 96,
+			WaveGap:     -time.Second,
+			Seed:        77,
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap := func(workers int) (Result, obs.Snapshot) {
@@ -301,6 +309,13 @@ func TestFleetMetricsMatchResult(t *testing.T) {
 			}
 			if tc.name == "longhorizon" && reconnects == 0 {
 				t.Error("long-horizon shape reconnected nothing; the reconnect counters went unexercised")
+			}
+			if tc.name == "liveledger" {
+				for _, name := range []string{"fleet.residual_windows_published", "fleet.residual_ledger_seeded"} {
+					if s.Counters[name] == 0 {
+						t.Errorf("%s = 0; the live-ledger shape left the residual ledger unexercised", name)
+					}
+				}
 			}
 			for _, def := range eval.Registry() {
 				cs := r.PerCountry[def.Country]

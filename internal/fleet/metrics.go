@@ -25,7 +25,7 @@ var (
 	// into their country's ledger at wave barriers; mResidualSeeded counts
 	// windows the ledger planted into cells at the next wave's start (only
 	// windows outliving the wave gap are planted, so with the default gap
-	// both stay at published-only/zero). Each cell's contribution is a pure
+	// only published is nonzero). Each cell's contribution is a pure
 	// function of its seeds and the merged ledger, so both totals are
 	// worker- and shard-width invariant.
 	mResidualPublished = obs.NewCounter("fleet.residual_windows_published")
@@ -68,13 +68,15 @@ var countryMetricNames = func() []struct{ country, label string } {
 }()
 
 // publish records a finished run's fleet counters. Each is read off the
-// Result (plus the cells' wave count and widest wave), so the counters are
-// the Result's totals by construction; fleet.attempts is the identity
-// Connections + Σ Reconnects.
-func publish(r Result, waves, widest int) {
+// Result, the cells' summed tallies (residual-ledger traffic) or their wave
+// count and widest wave, so the counters are the run's totals by
+// construction; fleet.attempts is the identity Connections + Σ Reconnects.
+func publish(r Result, sum cellResult, waves, widest int) {
 	mCells.Add(uint64(r.Cells))
 	mWaves.Add(uint64(waves))
 	mConcurrent.SetMax(uint64(widest))
+	mResidualPublished.Add(uint64(sum.residualPublished))
+	mResidualSeeded.Add(uint64(sum.residualSeeded))
 	mConnections.Add(uint64(r.Connections))
 	mServed.Add(uint64(r.Outcomes["served"]))
 	mTornDown.Add(uint64(r.Outcomes["torn_down"]))

@@ -38,16 +38,13 @@ type Config struct {
 	// EvolveTrigger lifts the restriction and lets the trigger itself
 	// mutate (the paper does this for FTP, whose servers speak first).
 	EvolveTrigger bool
-	// Fitness evaluates a strategy in [0, 1] (success rate); the engine
-	// subtracts a small bloat penalty itself.
-	Fitness func(*core.Strategy) float64
-	// BatchFitness, if set, scores a whole generation in one call and takes
-	// precedence over Fitness: it must return one raw fitness per strategy,
-	// positionally. Fitness must be a pure function of the canonical
-	// strategy text (s.String()), so implementations are free to memoize
-	// duplicates and evaluate the batch on a worker pool — the evolution
-	// trajectory is bit-identical either way. The engine applies the
-	// parsimony penalty itself, exactly as on the Fitness path.
+	// BatchFitness scores a whole generation in one call: it must return
+	// one raw fitness in [0, 1] (success rate) per strategy, positionally.
+	// Fitness must be a pure function of the canonical strategy text
+	// (s.String()), so implementations are free to memoize duplicates and
+	// evaluate the batch on a worker pool — the evolution trajectory is
+	// bit-identical either way. The engine subtracts a small bloat penalty
+	// itself.
 	BatchFitness func([]*core.Strategy) []float64
 	// Rng drives all stochastic choices.
 	Rng *rand.Rand
@@ -123,51 +120,7 @@ func Evolve(cfg Config) Result {
 		rng = rand.New(rand.NewSource(0))
 	}
 
-	cache := make(map[string]float64)
-	eval := func(s *core.Strategy) float64 {
-		key := s.String()
-		if f, ok := cache[key]; ok {
-			return f
-		}
-		f := cfg.Fitness(s)
-		// Parsimony pressure: prefer smaller strategies at equal success.
-		f -= parsimony * float64(s.Size())
-		cache[key] = f
-		return f
-	}
-	// score fills in every individual's fitness: through the batch seam when
-	// one is installed (parallelism is the implementation's business), one
-	// at a time through the Fitness path otherwise. Both paths share the
-	// same penalized-fitness memo, keyed by canonical text: two trees that
-	// print identically can differ in Size() (elided nodes), and the seed
-	// semantics — which the determinism suite pins — are that the first
-	// occurrence's penalty wins.
-	score := func(pop []Individual) {
-		if cfg.BatchFitness == nil {
-			for i := range pop {
-				pop[i].Fitness = eval(pop[i].Strategy)
-			}
-			return
-		}
-		batch := make([]*core.Strategy, len(pop))
-		for i := range pop {
-			batch[i] = pop[i].Strategy
-		}
-		raw := cfg.BatchFitness(batch)
-		if len(raw) != len(batch) {
-			panic(fmt.Sprintf("genetic: BatchFitness returned %d scores for %d strategies",
-				len(raw), len(batch)))
-		}
-		for i := range pop {
-			key := pop[i].Strategy.String()
-			f, ok := cache[key]
-			if !ok {
-				f = raw[i] - parsimony*float64(pop[i].Strategy.Size())
-				cache[key] = f
-			}
-			pop[i].Fitness = f
-		}
-	}
+	memo := make(map[string]float64)
 
 	trigger := cfg.TriggerValue
 	if cfg.EvolveTrigger {
@@ -182,7 +135,7 @@ func Evolve(cfg Config) Result {
 	stale := 0
 	lastBest := ""
 	for gen := 0; gen < cfg.Generations; gen++ {
-		score(pop)
+		score(pop, cfg.BatchFitness, memo)
 		sort.SliceStable(pop, func(i, j int) bool { return pop[i].Fitness > pop[j].Fitness })
 
 		stats := summarize(gen, pop)
@@ -229,6 +182,33 @@ func Evolve(cfg Config) Result {
 		pop = next
 	}
 	return res
+}
+
+// score fills in every individual's penalized fitness from one BatchFitness
+// call over the whole population. memo holds penalized fitness across
+// generations, keyed by canonical text: two trees that print identically
+// can differ in Size() (elided nodes), and the rule the determinism suite
+// pins is that the first occurrence's penalty wins.
+func score(pop []Individual, batchFitness func([]*core.Strategy) []float64, memo map[string]float64) {
+	batch := make([]*core.Strategy, len(pop))
+	for i := range pop {
+		batch[i] = pop[i].Strategy
+	}
+	raw := batchFitness(batch)
+	if len(raw) != len(batch) {
+		panic(fmt.Sprintf("genetic: BatchFitness returned %d scores for %d strategies",
+			len(raw), len(batch)))
+	}
+	for i := range pop {
+		key := pop[i].Strategy.String()
+		f, ok := memo[key]
+		if !ok {
+			// Parsimony pressure: prefer smaller strategies at equal success.
+			f = raw[i] - parsimony*float64(pop[i].Strategy.Size())
+			memo[key] = f
+		}
+		pop[i].Fitness = f
+	}
 }
 
 // tournament picks the fitter of three random individuals.

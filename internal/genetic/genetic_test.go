@@ -2,7 +2,6 @@ package genetic
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,7 +103,7 @@ func TestEvolveFindsSimpleTarget(t *testing.T) {
 		PopulationSize: 120,
 		Generations:    60,
 		ConvergeAfter:  -1,
-		Fitness:        fitness,
+		BatchFitness:   each(fitness),
 		Rng:            rng,
 	})
 	if res.Best.Fitness < 0.8 {
@@ -134,7 +133,7 @@ func TestEvolveConvergesEarly(t *testing.T) {
 		PopulationSize: 30,
 		Generations:    50,
 		ConvergeAfter:  3,
-		Fitness:        func(*core.Strategy) float64 { return 0.5 }, // flat landscape
+		BatchFitness:   each(func(*core.Strategy) float64 { return 0.5 }), // flat landscape
 		Rng:            rng,
 	})
 	if len(res.History) >= 50 {
@@ -149,8 +148,8 @@ func TestEvolveRespectsMaxNodes(t *testing.T) {
 		Generations:    10,
 		MaxNodes:       6,
 		// Reward bloat to fight the cap.
-		Fitness: func(s *core.Strategy) float64 { return float64(s.Size()) / 100 },
-		Rng:     rng,
+		BatchFitness: each(func(s *core.Strategy) float64 { return float64(s.Size()) / 100 }),
+		Rng:          rng,
 	})
 	_ = res
 	// The cap is applied pre-evaluation; just ensure no pathological blowup
@@ -184,51 +183,49 @@ func TestRandomTreePropertyNoPanics(t *testing.T) {
 	}
 }
 
-// TestEvolveBatchSeamMatchesFitnessPath proves the seam itself: wrapping a
-// pure fitness function as a BatchFitness must reproduce the per-individual
-// path's Result bit for bit — same best, same fitness, same history.
-func TestEvolveBatchSeamMatchesFitnessPath(t *testing.T) {
-	fitness := func(s *core.Strategy) float64 {
-		// Pure function of the canonical text (a cheap censor surrogate).
-		str := s.String()
-		score := float64(len(str)%13) / 26
-		if strings.Contains(str, "duplicate") {
-			score += 0.4
+// each lifts a per-strategy fitness into the BatchFitness shape.
+func each(f func(*core.Strategy) float64) func([]*core.Strategy) []float64 {
+	return func(pop []*core.Strategy) []float64 {
+		out := make([]float64, len(pop))
+		for i, s := range pop {
+			out[i] = f(s)
 		}
-		if strings.Contains(str, "corrupt") {
-			score += 0.2
-		}
-		return score
+		return out
 	}
-	run := func(batch bool) Result {
-		cfg := Config{
-			PopulationSize: 40,
-			Generations:    8,
-			ConvergeAfter:  -1,
-			Rng:            rand.New(rand.NewSource(19)),
-		}
-		if batch {
-			cfg.BatchFitness = func(pop []*core.Strategy) []float64 {
-				out := make([]float64, len(pop))
-				for i, s := range pop {
-					out[i] = fitness(s)
-				}
-				return out
+}
+
+// TestScoreParsimonyFirstOccurrence pins the memo rule behind the
+// parsimony penalty: strategies that print identically share one penalized
+// fitness, and the first occurrence's Size() sets it — within a batch and
+// across generations — even when a twin carries an elided node.
+func TestScoreParsimonyFirstOccurrence(t *testing.T) {
+	small := core.MustParse(`[TCP:flags:SA]-tamper{TCP:flags:replace:R}-| \/ `)
+	// A tamper's right child is never printed, so this twin has the same
+	// canonical text but one more node.
+	big := small.Clone()
+	big.Outbound[0].Action.Right = core.Send()
+	big.Invalidate()
+	if small.String() != big.String() || big.Size() != small.Size()+1 {
+		t.Fatalf("twins: %q (size %d) vs %q (size %d)", small, small.Size(), big, big.Size())
+	}
+	flat := each(func(*core.Strategy) float64 { return 0.5 })
+	for _, tc := range []struct {
+		name  string
+		first *core.Strategy
+	}{{"small first", small}, {"big first", big}} {
+		memo := map[string]float64{}
+		want := 0.5 - parsimony*float64(tc.first.Size())
+		pop := []Individual{{Strategy: tc.first}, {Strategy: small}, {Strategy: big}}
+		score(pop, flat, memo)
+		// A later generation sees the twins in the other order.
+		later := []Individual{{Strategy: big}, {Strategy: small}}
+		score(later, flat, memo)
+		for i, ind := range append(pop, later...) {
+			if ind.Fitness != want {
+				t.Errorf("%s: individual %d (size %d) scored %v, want the first occurrence's %v",
+					tc.name, i, ind.Strategy.Size(), ind.Fitness, want)
 			}
-		} else {
-			cfg.Fitness = fitness
 		}
-		return Evolve(cfg)
-	}
-	want, got := run(false), run(true)
-	if want.Best.Strategy.String() != got.Best.Strategy.String() {
-		t.Errorf("best diverged: %q vs %q", want.Best.Strategy, got.Best.Strategy)
-	}
-	if want.Best.Fitness != got.Best.Fitness {
-		t.Errorf("best fitness diverged: %v vs %v", want.Best.Fitness, got.Best.Fitness)
-	}
-	if !reflect.DeepEqual(want.History, got.History) {
-		t.Errorf("histories diverged:\n seq   %+v\n batch %+v", want.History, got.History)
 	}
 }
 

@@ -155,6 +155,40 @@ func TestInjectionBypassesBoxes(t *testing.T) {
 	}
 }
 
+// TestNilMiddleboxIgnored: a nil box passed to New or NewMulti is dropped,
+// so a caller with no censor hands its nil one straight through and gets a
+// censor-free path; the live boxes around it still see every packet.
+func TestNilMiddleboxIgnored(t *testing.T) {
+	var nilBox Middlebox
+	tap := &tapBox{name: "tap"}
+	for _, tc := range []struct {
+		name string
+		net  func(c, s Host) *Network
+		want int
+	}{
+		{"new-nil", func(c, s Host) *Network { return New(c, s, nilBox) }, 0},
+		{"new-mixed", func(c, s Host) *Network { return New(c, s, nil, tap, nilBox) }, 1},
+		{"newmulti-nil", func(c, s Host) *Network { return NewMulti(s, []Host{c}, nilBox) }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &recordHost{addr: clientAddr}
+			s := &recordHost{addr: serverAddr, reply: true}
+			n := tc.net(c, s)
+			if len(n.Boxes()) != tc.want {
+				t.Fatalf("network kept %d boxes, want %d", len(n.Boxes()), tc.want)
+			}
+			n.Send(c, syn(64))
+			n.Run(0)
+			if len(s.got) != 1 || len(c.got) != 1 {
+				t.Fatalf("server got %d, client got %d packets; want 1 each", len(s.got), len(c.got))
+			}
+		})
+	}
+	if len(tap.seen) != 2 {
+		t.Errorf("live box beside nil ones saw %d packets, want the SYN and its reply", len(tap.seen))
+	}
+}
+
 func TestFIFOOrderPreserved(t *testing.T) {
 	c := &recordHost{addr: clientAddr}
 	s := &recordHost{addr: serverAddr}
