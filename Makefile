@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-evolve bench-trial bench-fleet bench-hotpath bench-gate bench-compare alloc-budget engine-determinism differential fleet-determinism selector-determinism metrics-determinism pool-clobberfree fuzz-seeds fuzz-smoke evaluate figures short cover race
+.PHONY: all build test vet lint bench bench-evolve bench-trial bench-fleet bench-hotpath bench-gate bench-compare alloc-budget engine-determinism differential fleet-determinism selector-determinism metrics-determinism pool-clobberfree fuzz-seeds fuzz-smoke evaluate figures cli-smoke short cover race
 
 all: build vet test
 
@@ -194,8 +194,18 @@ lint: vet
 	@command -v gocritic >/dev/null 2>&1 && gocritic check ./... || echo "gocritic not installed; skipped"
 
 evaluate:
-	$(GO) run ./cmd/evaluate -trials 300
+	$(GO) run ./cmd/geneva evaluate -trials 300
 
 figures:
-	$(GO) run ./cmd/waterfall -country china
-	$(GO) run ./cmd/waterfall -country kazakhstan
+	$(GO) run ./cmd/geneva evaluate -figure 1
+	$(GO) run ./cmd/geneva evaluate -figure 2
+
+# Build the one binary and run each subcommand once at a tiny size; an
+# unknown subcommand must exit 2. CI runs exactly this.
+cli-smoke:
+	$(GO) build -o .bin/geneva ./cmd/geneva
+	./.bin/geneva evaluate -table 1 -trials 4 > /dev/null
+	./.bin/geneva fleet -connections 20 -countries china -metrics > /dev/null
+	./.bin/geneva evolve -country kazakhstan -population 6 -generations 2 -trials 2 > /dev/null
+	printf 'strategies\n' | ./.bin/geneva explore -trials 2 > /dev/null
+	./.bin/geneva nosuch 2> /dev/null; test $$? -eq 2

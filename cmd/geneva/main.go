@@ -1,91 +1,98 @@
-// Command geneva is an interactive strategy explorer: type Geneva programs
-// and see, immediately, the packet waterfall and the success rate against a
-// chosen censor.
+// Command geneva runs the reproduction: the paper's tables, figures and
+// follow-up experiments, the §8 deployment fleet, the §4.1 genetic search,
+// and an interactive strategy explorer, one subcommand each.
 //
 // Usage:
 //
-//	geneva [-country china] [-protocol http] [-trials 100]
+//	geneva evaluate [flags]   reproduce the tables, figures and experiments
+//	geneva fleet [flags]      run the deployment-scale serving harness
+//	geneva evolve [flags]     train strategies against a simulated censor
+//	geneva explore [flags]    type strategies, see waterfalls and rates
 //
-// Then enter one strategy per line (blank line or EOF to exit). Lines
-// starting with '#' are comments; the special input "strategies" lists the
-// paper's library.
+// `geneva <command> -h` lists a command's flags. Every input is checked
+// before anything runs: a bad command line exits 2, a failed run exits 1.
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
-
-	"geneva/internal/core"
-	"geneva/internal/eval"
-	"geneva/internal/strategies"
 )
 
+// A command declares its flags on the set it is given and returns the body
+// to run once they are parsed.
+type command struct {
+	name, summary string
+	setup         func(fs *flag.FlagSet) func(in io.Reader, out io.Writer) error
+}
+
+var commands = []command{
+	{"evaluate", "reproduce the tables, figures and experiments", evaluateCmd},
+	{"fleet", "run the deployment-scale serving harness", fleetCmd},
+	{"evolve", "train strategies against a simulated censor", evolveCmd},
+	{"explore", "type strategies, see waterfalls and rates", exploreCmd},
+}
+
+// usageError marks a bad command line: run exits 2 for it, 1 for any other
+// error.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
+
 func main() {
-	country := flag.String("country", "china", "censor to explore against")
-	protocol := flag.String("protocol", "http", "protocol to trigger censorship with")
-	trials := flag.Int("trials", 100, "trials per rate estimate")
-	flag.Parse()
-	fmt.Printf("Exploring %s / %s. Enter a Geneva strategy per line (blank to quit).\n",
-		*country, *protocol)
-	repl(os.Stdin, os.Stdout, *country, *protocol, *trials)
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// repl drives the explorer; split out so tests can feed it input.
-func repl(in io.Reader, out io.Writer, country, protocol string, trials int) {
-	scanner := bufio.NewScanner(in)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for {
-		fmt.Fprint(out, "geneva> ")
-		if !scanner.Scan() {
-			fmt.Fprintln(out)
-			return
-		}
-		line := strings.TrimSpace(scanner.Text())
-		switch {
-		case line == "":
-			return
-		case strings.HasPrefix(line, "#"):
-			continue
-		case line == "strategies":
-			for _, s := range strategies.All() {
-				fmt.Fprintf(out, "  %2d %-34s %s\n", s.Number, s.Name, s.DSL)
-			}
-			continue
-		}
-		evaluate(out, line, country, protocol, trials)
+// run executes one command line and returns the process exit status.
+func run(args []string, in io.Reader, out, errOut io.Writer) int {
+	if len(args) == 0 {
+		printUsage(errOut)
+		return 2
 	}
+	var cmd *command
+	for i := range commands {
+		if commands[i].name == args[0] {
+			cmd = &commands[i]
+			break
+		}
+	}
+	if cmd == nil {
+		fmt.Fprintf(errOut, "geneva: unknown command %q\n", args[0])
+		printUsage(errOut)
+		return 2
+	}
+	fs := flag.NewFlagSet("geneva "+cmd.name, flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	body := cmd.setup(fs)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag package has reported it
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(errOut, "geneva: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	err := body(in, out)
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(errOut, "geneva:", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }
 
-func evaluate(out io.Writer, dsl, country, protocol string, trials int) {
-	s, err := core.Parse(dsl)
-	if err != nil {
-		fmt.Fprintf(out, "  parse error: %v\n", err)
-		return
+func printUsage(w io.Writer) {
+	fmt.Fprintln(w, "usage: geneva <command> [flags]")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-9s %s\n", c.name, c.summary)
 	}
-	cfg := eval.Config{
-		Country:   country,
-		Session:   eval.SessionFor(country, protocol, true),
-		Strategy:  s,
-		Tries:     eval.TriesFor(protocol),
-		Seed:      1,
-		WithTrace: true,
-	}
-	rate := eval.Rate(cfg, trials)
-	fmt.Fprintf(out, "  success rate over %d trials: %.0f%%\n\n", trials, 100*rate)
-	// Show a waterfall of a successful run if one exists, else of a failure.
-	res := eval.Run(cfg)
-	for seed := int64(2); !res.Success && seed < 200; seed++ {
-		cfg.Seed = seed
-		res = eval.Run(cfg)
-	}
-	fmt.Fprint(out, res.Trace.Waterfall("  sample run"))
-	if res.Success {
-		fmt.Fprintln(out, "  => evaded censorship")
-	} else {
-		fmt.Fprintln(out, "  => censored / failed")
-	}
+	fmt.Fprintln(w, "Run 'geneva <command> -h' for a command's flags.")
 }

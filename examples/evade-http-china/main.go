@@ -25,7 +25,7 @@ func main() {
 	// With Strategy 1 deployed server-side: simultaneous open + injected
 	// RST desynchronizes the GFW's HTTP box.
 	s1 := strategies.Strategy1
-	fmt.Print(eval.Waterfall(eval.CountryChina, &s1, eval.EvadingSeed(eval.CountryChina, s1)))
+	fmt.Print(eval.Waterfall(eval.CountryChina, &s1, eval.EvadingSeed(eval.CountryChina, "http", s1.Parse())))
 	fmt.Println()
 
 	// Success rates over many connections (Table 2's HTTP column).

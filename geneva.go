@@ -334,7 +334,9 @@ type EvolutionResult = genetic.Result
 // pure function of the canonical strategy and the seed); set
 // EvolveOptions.Workers to bound the pool.
 // An unknown Country or Protocol returns an error matching
-// ErrUnknownCountry/ErrUnknownProtocol instead of panicking inside the rig.
+// ErrUnknownCountry/ErrUnknownProtocol instead of panicking inside the rig,
+// and a negative Population, Generations or TrialsPerEval an error naming
+// the field.
 func Evolve(opt EvolveOptions) (EvolutionResult, error) { return eval.Evolve(opt) }
 
 // EvalStats reports the training engine's fitness-cache traffic: how many

@@ -87,6 +87,26 @@ func TestPublicEvolve(t *testing.T) {
 	}
 }
 
+// TestEvolveRejectsNegativeSizes: a negative population, generation budget
+// or fitness sample size is an error naming the field, not a panic inside
+// the GA or the trial pool.
+func TestEvolveRejectsNegativeSizes(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		opt   EvolveOptions
+	}{
+		{"Population", EvolveOptions{Population: -3}},
+		{"Generations", EvolveOptions{Generations: -1}},
+		{"TrialsPerEval", EvolveOptions{TrialsPerEval: -2}},
+	} {
+		c.opt.Country, c.opt.Protocol = China, "http"
+		_, err := Evolve(c.opt)
+		if err == nil || !strings.Contains(err.Error(), "EvolveOptions."+c.field) {
+			t.Errorf("Evolve(%+v) = %v, want an error naming %s", c.opt, err, c.field)
+		}
+	}
+}
+
 func TestPublicEvolveWithStatsAndWorkers(t *testing.T) {
 	// Per-call Workers caps the pool; results must not move, and the cache
 	// stats must show the engine at work.

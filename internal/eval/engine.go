@@ -19,8 +19,8 @@ var workerCap atomic.Int32
 // one worker per CPU. Results are identical at any width: every trial and
 // every fitness sample derives its randomness from seeds alone, never from
 // scheduling order. New code should prefer the per-call fields; this global
-// survives as the seam behind the deprecated geneva.SetWorkers shim and the
-// cmd/ -workers flags.
+// survives as the seam behind `geneva evaluate -workers` and the benchmark
+// harness.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
 
 	"geneva/internal/core"
@@ -44,7 +45,8 @@ type EvolveOptions struct {
 // by the parallel, memoizing evaluation engine (see Evaluator); use
 // EvolveWithStats to also observe the cache counters. An unknown Country or
 // Protocol returns an error wrapping ErrUnknownCountry/ErrUnknownProtocol
-// instead of panicking inside the rig.
+// instead of panicking inside the rig, and a negative Population,
+// Generations or TrialsPerEval an error naming the field.
 func Evolve(opt EvolveOptions) (genetic.Result, error) {
 	res, _, err := EvolveWithStats(opt)
 	return res, err
@@ -54,6 +56,18 @@ func Evolve(opt EvolveOptions) (genetic.Result, error) {
 func EvolveWithStats(opt EvolveOptions) (genetic.Result, EvalStats, error) {
 	if err := CheckCountryProtocol(opt.Country, opt.Protocol); err != nil {
 		return genetic.Result{}, EvalStats{}, err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Population", opt.Population},
+		{"Generations", opt.Generations},
+		{"TrialsPerEval", opt.TrialsPerEval},
+	} {
+		if f.v < 0 {
+			return genetic.Result{}, EvalStats{}, fmt.Errorf("EvolveOptions.%s %d is negative", f.name, f.v)
+		}
 	}
 	if opt.TrialsPerEval == 0 {
 		opt.TrialsPerEval = 10

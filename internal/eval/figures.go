@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"geneva/internal/core"
 	"geneva/internal/packet"
 	"geneva/internal/strategies"
 	"geneva/internal/tcpstack"
@@ -48,21 +49,23 @@ func Figure1() string {
 	b.WriteByte('\n')
 	for _, s := range strategies.China() {
 		s := s
-		b.WriteString(Waterfall(CountryChina, &s, figure1Seed(s.Number)))
+		b.WriteString(Waterfall(CountryChina, &s, EvadingSeed(CountryChina, "http", s.Parse())))
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// EvadingSeed finds a seed whose trial evades for the given strategy, so a
-// waterfall shows the strategy's successful path (as the paper's figures
-// do). Falls back to seed 1 if none of the first 500 evade.
-func EvadingSeed(country string, s strategies.Strategy) int64 {
+// EvadingSeed finds a seed at which the strategy evades the country's
+// censor over the protocol's session, so a waterfall shows the strategy's
+// successful path (as the paper's figures do). Falls back to seed 1 if none
+// of the first 500 evade.
+func EvadingSeed(country, protocol string, s *core.Strategy) int64 {
 	for seed := int64(1); seed < 500; seed++ {
 		cfg := Config{
 			Country:  country,
-			Session:  SessionFor(country, "http", true),
-			Strategy: s.Parse(),
+			Session:  SessionFor(country, protocol, true),
+			Strategy: s,
+			Tries:    TriesFor(protocol),
 			Seed:     seed,
 		}
 		if Run(cfg).Success {
@@ -70,12 +73,6 @@ func EvadingSeed(country string, s strategies.Strategy) int64 {
 		}
 	}
 	return 1
-}
-
-// figure1Seed picks, per strategy, a seed whose China trial evades.
-func figure1Seed(number int) int64 {
-	s, _ := strategies.ByNumber(number)
-	return EvadingSeed(CountryChina, s)
 }
 
 // Figure2 renders the Kazakhstan waterfalls (Strategies 9-11).

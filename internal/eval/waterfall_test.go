@@ -22,7 +22,7 @@ func handshakeShape(t *testing.T, country string, num int) []string {
 		Country:   country,
 		Session:   SessionFor(country, "http", true),
 		Strategy:  s.Parse(),
-		Seed:      EvadingSeed(country, s),
+		Seed:      EvadingSeed(country, "http", s.Parse()),
 		WithTrace: true,
 	}
 	res := Run(cfg)

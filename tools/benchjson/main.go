@@ -10,6 +10,9 @@
 //	-set hotpath: BENCH_hotpath.json — the event-queue and per-censor
 //	  microbenchmarks guarding the simulator's two hottest loops.
 //
+// Every generated file records the host the benchmarks ran on: the CPU
+// model, the core count and GOMAXPROCS.
+//
 // With -compare FILE the tool is a regression gate instead of a generator:
 // stdin benchmark lines are compared against FILE's "current" map and any
 // regression beyond -tolerance (default 10%) on the metrics selected by
@@ -30,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -63,23 +67,54 @@ var baseline = map[string]Result{
 	"BenchmarkPacketRoundtrip": {}, // did not exist pre-pooling
 }
 
+// hostInfo is the machine the benchmarks ran on. Without it a scaling ratio or
+// an ns/op figure cannot be compared with another file's.
+type hostInfo struct {
+	// CPU is the model `go test -bench` reports on its "cpu:" line.
+	CPU    string `json:"cpu"`
+	NumCPU int    `json:"num_cpu"`
+	// GOMAXPROCS is the benchmarks' own, read off their name suffix (go
+	// test omits the suffix at 1).
+	GOMAXPROCS int `json:"gomaxprocs"`
+}
+
+// readBench parses `go test -bench -benchmem` output: every result line,
+// and the host it ran on. benchjson reads the output through a pipe, so
+// NumCPU is this process's.
+func readBench(r io.Reader) (map[string]Result, hostInfo, error) {
+	current := map[string]Result{}
+	host := hostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: 1}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			host.CPU = strings.TrimSpace(cpu)
+		}
+		if name, procs, res, ok := parseLine(line); ok {
+			current[name] = res
+			host.GOMAXPROCS = procs
+		}
+	}
+	return current, host, sc.Err()
+}
+
 // parseLine reads one `go test -bench` result line: the benchmark name
-// (GOMAXPROCS suffix stripped), the iteration count, and then value/unit
-// pairs — ns/op and the -benchmem pair into their own fields, anything else
-// into Metrics.
-func parseLine(line string) (string, Result, bool) {
+// with its GOMAXPROCS suffix split off, the iteration count, and then
+// value/unit pairs — ns/op and the -benchmem pair into their own fields,
+// anything else into Metrics.
+func parseLine(line string) (string, int, Result, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return "", Result{}, false
+		return "", 0, Result{}, false
 	}
-	name := f[0]
+	name, procs := f[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	r := Result{Iterations: iters}
@@ -104,7 +139,7 @@ func parseLine(line string) (string, Result, bool) {
 			r.Metrics[f[i+1]] = v
 		}
 	}
-	return name, r, seen
+	return name, procs, r, seen
 }
 
 func main() {
@@ -114,14 +149,8 @@ func main() {
 	compareMetrics := flag.String("compare-metrics", "ns,allocs", "with -compare: comma-separated metrics to gate on (ns, allocs)")
 	flag.Parse()
 
-	current := map[string]Result{}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		if name, r, ok := parseLine(sc.Text()); ok {
-			current[name] = r
-		}
-	}
-	if err := sc.Err(); err != nil {
+	current, host, err := readBench(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -136,12 +165,14 @@ func main() {
 
 	out := struct {
 		Go       string             `json:"go"`
+		Host     hostInfo           `json:"host"`
 		Note     string             `json:"note"`
 		Baseline map[string]Result  `json:"baseline_pre_pooling,omitempty"`
 		Current  map[string]Result  `json:"current"`
 		Summary  map[string]float64 `json:"summary"`
 	}{
 		Go:      runtime.Version(),
+		Host:    host,
 		Current: current,
 		Summary: map[string]float64{},
 	}
