@@ -75,9 +75,11 @@ bench-fleet-gate:
 # engine must produce the exact Result of an uncached serial reference (a
 # BatchFitness loop over FitnessFor, built inside the test) at GOMAXPROCS
 # 1/2/8; the GA's first-occurrence parsimony rule holds on the batch path;
-# and every RateStats count is identical at 1, 2 and 8 trial workers. CI
-# runs exactly this.
-ENGINE_RUN = Deterministic|BatchMatchesSequential|BatchSeam|ParsimonyFirstOccurrence|Evaluator|FitnessCache|EvolveWithStats|RateStatsWidthInvariance
+# every RateStats count is identical at 1, 2 and 8 trial workers; the one
+# trial fold equals a serial loop of single trials at any width and seed
+# stride; and a rig rebuilt from the manifest's seed schedule alone
+# reproduces RateStats. CI runs exactly this.
+ENGINE_RUN = Deterministic|BatchMatchesSequential|BatchSeam|ParsimonyFirstOccurrence|Evaluator|FitnessCache|EvolveWithStats|RateStatsWidthInvariance|FoldMatchesSerialReference|SeedScheduleDescribesRig
 engine-determinism:
 	$(call require-tests,$(ENGINE_RUN),./...)
 	$(GO) test -race -shuffle=on -run '$(ENGINE_RUN)' ./...

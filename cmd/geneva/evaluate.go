@@ -116,7 +116,7 @@ func evaluateCmd(fs *flag.FlagSet) func(io.Reader, io.Writer) error {
 		}
 		// The harness's experiment seed bases are fixed in source; the
 		// schedule records the derivation every trial applies to its base.
-		return diag.finish(w, obs.NewManifest("evaluate", cfg, obs.DefaultSeedSchedule(0)))
+		return diag.finish(w, obs.NewManifest("evaluate", cfg, eval.SeedSchedule(0)))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"geneva/internal/eval"
 	"geneva/internal/genetic"
@@ -31,7 +32,7 @@ import (
 // with and without them.
 func evolveCmd(fs *flag.FlagSet) func(io.Reader, io.Writer) error {
 	country := fs.String("country", "china", "china, india, iran, or kazakhstan")
-	protocol := fs.String("protocol", "http", "dns, ftp, http, https, or smtp")
+	protocol := fs.String("protocol", "http", "one of "+strings.Join(eval.Protocols(), ", "))
 	population := fs.Int("population", 300, "population size (paper: 300)")
 	generations := fs.Int("generations", 50, "generation budget (paper: 50)")
 	trials := fs.Int("trials", 10, "fitness trials per individual")
@@ -91,6 +92,6 @@ func evolveCmd(fs *flag.FlagSet) func(io.Reader, io.Writer) error {
 			"minimize":    strconv.FormatBool(*minimize),
 			"best":        best.String(),
 		}
-		return diag.finish(w, obs.NewManifest("evolve", cfg, obs.DefaultSeedSchedule(*seed)))
+		return diag.finish(w, obs.NewManifest("evolve", cfg, eval.SeedSchedule(*seed)))
 	}
 }

@@ -68,14 +68,8 @@ func evaluate(out io.Writer, dsl, country, protocol string, trials int) {
 		fmt.Fprintf(out, "  parse error: %v\n", err)
 		return
 	}
-	cfg := eval.Config{
-		Country:   country,
-		Session:   eval.SessionFor(country, protocol, true),
-		Strategy:  s,
-		Tries:     eval.TriesFor(protocol),
-		Seed:      1,
-		WithTrace: true,
-	}
+	cfg := eval.TrialConfig(country, protocol, s, 1)
+	cfg.WithTrace = true
 	rate := eval.Rate(cfg, trials)
 	fmt.Fprintf(out, "  success rate over %d trials: %.0f%%\n\n", trials, 100*rate)
 	// Show a waterfall of a successful run if one exists, else of a failure.

@@ -18,12 +18,9 @@ func main() {
 	fmt.Println()
 
 	// No evasion: the censor hijacks the flow and serves a block page.
-	res := eval.Run(eval.Config{
-		Country:   eval.CountryKazakhstan,
-		Session:   eval.SessionFor(eval.CountryKazakhstan, "http", true),
-		Seed:      1,
-		WithTrace: true,
-	})
+	cfg := eval.TrialConfig(eval.CountryKazakhstan, "http", nil, 1)
+	cfg.WithTrace = true
+	res := eval.Run(cfg)
 	fmt.Print(res.Trace.Waterfall("No evasion: MITM hijack + block page"))
 	fmt.Printf("  => success=%v, censor events=%d\n\n", res.Success, res.CensorEvents)
 

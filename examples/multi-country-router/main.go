@@ -35,15 +35,11 @@ func main() {
 	}
 
 	// Bonus: capture one routed Kazakhstan connection to a pcap file.
-	cfg := eval.Config{
-		Country:       eval.CountryKazakhstan,
-		Session:       eval.SessionFor(eval.CountryKazakhstan, "http", true),
-		ClientAddress: netip.MustParseAddr("10.4.0.2"), // inside the Kazakhstan route
-		Seed:          1,
-		WithTrace:     true,
-		ServerHook: func(ep *tcpstack.Endpoint) {
-			ep.Outbound = eval.NewDeploymentRouter(1).Outbound
-		},
+	cfg := eval.TrialConfig(eval.CountryKazakhstan, "http", nil, 1)
+	cfg.ClientAddress = netip.MustParseAddr("10.4.0.2") // inside the Kazakhstan route
+	cfg.WithTrace = true
+	cfg.ServerHook = func(ep *tcpstack.Endpoint) {
+		ep.Outbound = eval.NewDeploymentRouter(1).Outbound
 	}
 	res := eval.Run(cfg)
 	f, err := os.CreateTemp("", "geneva-kazakhstan-*.pcap")

@@ -139,13 +139,14 @@ type Simulation struct {
 	Protocol string
 	// Strategy is the server-side Geneva program ("" = no evasion).
 	Strategy string
-	// Trials is the number of independent connections (default 100).
+	// Trials is the number of independent connections (0 = default 100;
+	// negative is rejected).
 	Trials int
 	// Seed fixes the randomness (two equal Simulations agree exactly).
 	Seed int64
 	// Workers bounds the worker pool the trials fan out on (0 = the
-	// process default, one worker per CPU). Purely a scheduling knob:
-	// results are bit-identical at any width.
+	// process default, one worker per CPU; negative is rejected). Purely a
+	// scheduling knob: results are bit-identical at any width.
 	Workers int
 	// Impairments degrades the network path symmetrically in both
 	// directions and arms endpoint retransmission. The zero value keeps the
@@ -184,8 +185,9 @@ type Result struct {
 }
 
 // Run executes the simulation and returns the structured result. A
-// Simulation naming an unknown Country or Protocol, or with an impossible
-// Impairments value, returns a descriptive error. Results are bit-identical
+// Simulation naming an unknown Country or Protocol, with an impossible
+// Impairments value, or with a negative Trials or Workers, returns a
+// descriptive error naming the field. Results are bit-identical
 // for equal Simulations at any Workers width.
 func Run(s Simulation) (Result, error) {
 	if err := eval.CheckCountryProtocol(s.Country, s.Protocol); err != nil {
@@ -194,23 +196,25 @@ func Run(s Simulation) (Result, error) {
 	if err := s.Impairments.Validate(); err != nil {
 		return Result{}, fmt.Errorf("Impairments.%w", err)
 	}
-	cfg := eval.Config{
-		Country:     s.Country,
-		Session:     eval.SessionFor(s.Country, s.Protocol, true),
-		Tries:       eval.TriesFor(s.Protocol),
-		Seed:        s.Seed,
-		Workers:     s.Workers,
-		Impairments: netsim.Symmetric(s.Impairments),
+	if s.Trials < 0 {
+		return Result{}, fmt.Errorf("Simulation.Trials %d is negative", s.Trials)
 	}
+	if s.Workers < 0 {
+		return Result{}, fmt.Errorf("Simulation.Workers %d is negative", s.Workers)
+	}
+	var strategy *core.Strategy
 	if s.Strategy != "" {
 		parsed, err := core.Parse(s.Strategy)
 		if err != nil {
 			return Result{}, err
 		}
-		cfg.Strategy = parsed
+		strategy = parsed
 	}
+	cfg := eval.TrialConfig(s.Country, s.Protocol, strategy, s.Seed)
+	cfg.Workers = s.Workers
+	cfg.Impairments = netsim.Symmetric(s.Impairments)
 	trials := s.Trials
-	if trials <= 0 {
+	if trials == 0 {
 		trials = 100
 	}
 	stats := eval.RateStats(cfg, trials)
@@ -238,7 +242,7 @@ func runManifest(s Simulation, trials int) obs.Manifest {
 		"duplicate": strconv.FormatFloat(s.Impairments.Duplicate, 'g', -1, 64),
 		"reorder":   strconv.FormatFloat(s.Impairments.Reorder, 'g', -1, 64),
 		"jitter":    s.Impairments.Jitter.String(),
-	}, obs.DefaultSeedSchedule(s.Seed))
+	}, eval.SeedSchedule(s.Seed))
 }
 
 // EvasionRate runs the simulation and returns just the §4.2 success rate:

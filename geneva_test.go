@@ -243,4 +243,21 @@ func TestRunRejectsUnknownCountryAndProtocol(t *testing.T) {
 			t.Errorf("%s: error does not name the field: %v", tc.field, err)
 		}
 	}
+	// Negative sizes are rejected rather than silently replaced by a
+	// default; zero keeps its default.
+	for _, tc := range []struct {
+		field string
+		sim   Simulation
+	}{
+		{"Simulation.Trials", Simulation{Trials: -5}},
+		{"Simulation.Workers", Simulation{Trials: 1, Workers: -1}},
+	} {
+		tc.sim.Country, tc.sim.Protocol = China, "http"
+		if _, err := Run(tc.sim); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Run(%+v) = %v, want an error naming %s", tc.sim, err, tc.field)
+		}
+	}
+	if res, err := Run(Simulation{Country: China, Protocol: "http", Trials: 0, Workers: 0}); err != nil || res.Trials != 100 {
+		t.Errorf("zero Trials/Workers: %d trials, %v; want the 100-trial default", res.Trials, err)
+	}
 }

@@ -41,12 +41,14 @@ type ResidualCarrier interface {
 // scenarios (and the co-evolution roadmap item) drive. Params maps
 // parameter names to new values; a name may be bare ("prst", applied to
 // every protocol box that has the parameter) or protocol-scoped
-// ("http.prst"). Unknown names are ignored, so a shift written for one
-// censor family can be applied across a mixed fleet. Implementations must
-// be deterministic: the new values replace calibration constants and must
-// not consult any randomness of their own.
+// ("http.prst"). A name the censor does not have, a scope it has no box
+// for, or a value outside the parameter's range is an error, and then no
+// parameter changes, so a shift can be checked on a throwaway instance
+// before a run. Implementations must be deterministic: the new values
+// replace calibration constants and must not consult any randomness of
+// their own.
 type ParamShifter interface {
-	ShiftParams(params map[string]float64)
+	ShiftParams(params map[string]float64) error
 }
 
 // Blocklist is what a censor looks for, per §4.2 of the paper.
@@ -92,13 +94,6 @@ func New(domains, keywords, emails []string) Blocklist {
 		Keywords: normalizeAll(keywords, strings.ToLower),
 		Emails:   normalizeAll(emails, normEmail),
 	}
-}
-
-// Normalize returns a copy of b with every entry normalized, the same way
-// New does. Harnesses apply it once to caller-supplied blocklists at rig
-// construction.
-func (b Blocklist) Normalize() Blocklist {
-	return New(b.Domains, b.Keywords, b.Emails)
 }
 
 func normalizeAll(in []string, norm func(string) string) []string {

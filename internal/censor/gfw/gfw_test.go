@@ -463,7 +463,9 @@ func TestResidualReopenOverwrites(t *testing.T) {
 		}
 		b.Process(pk, dir, 0) // window open until 90s
 	}
-	g.ShiftParams(map[string]float64{"http.residual_s": 30})
+	if err := g.ShiftParams(map[string]float64{"http.residual_s": 30}); err != nil {
+		t.Fatal(err)
+	}
 	if !freshHandshakeCensored(b, 41000, 10*time.Second) {
 		t.Fatal("no residual tear-down inside the live 90s window")
 	}

@@ -14,14 +14,7 @@ import (
 // follow Rate's seed schedule and try loop, so the identity variant is
 // exactly Rate against CountryChina.
 func gfwVariant(mod func(*gfw.Params), strategy *core.Strategy, proto string, trials int, seed int64) float64 {
-	cfg := Config{
-		Country:  CountryChina,
-		Session:  SessionFor(CountryChina, proto, true),
-		Strategy: strategy,
-		Tries:    TriesFor(proto),
-		Seed:     seed,
-	}
-	return rateStats(cfg, trials, func(r *Rig) {
+	return rateStats(TrialConfig(CountryChina, proto, strategy, seed), trials, trialStride, func(r *Rig, _ int64) {
 		for _, b := range r.Censor.(*gfw.GFW).Boxes {
 			mod(&b.P)
 		}

@@ -31,13 +31,8 @@ func ClientCompatibility() []CompatCell {
 	}
 	for _, s := range all {
 		for _, os := range tcpstack.AllPersonalities {
-			cfg := Config{
-				Country:  CountryNone,
-				Session:  SessionFor(CountryNone, "http", true),
-				Strategy: s.Parse(),
-				ClientOS: os,
-				Seed:     int64(len(cells)),
-			}
+			cfg := TrialConfig(CountryNone, "http", s.Parse(), int64(len(cells)))
+			cfg.ClientOS = os
 			cells = append(cells, CompatCell{
 				Strategy: s.Name,
 				OS:       os.Name,

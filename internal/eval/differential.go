@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"geneva/internal/packet"
-	"geneva/internal/strategies"
 )
 
 // Failure causes distinguished by ClassifyFailure. The differential matrix
@@ -100,20 +99,12 @@ func Differential() []DifferentialCell {
 	for _, d := range Registry() {
 		for _, proto := range d.Protocols {
 			for _, s := range DifferentialStrategies {
-				cfg := Config{
-					Country:   d.Country,
-					Session:   SessionFor(d.Country, proto, true),
-					Tries:     TriesFor(proto),
-					Seed:      int64(1000*s + protoSeed(proto)),
-					WithTrace: true,
+				st, ok := byNumber(s)
+				if !ok && s > 0 {
+					panic(fmt.Sprintf("eval: unknown differential strategy %d", s))
 				}
-				if s > 0 {
-					st, ok := strategies.ByNumber(s)
-					if !ok {
-						panic(fmt.Sprintf("eval: unknown differential strategy %d", s))
-					}
-					cfg.Strategy = st.Parse()
-				}
+				cfg := TrialConfig(d.Country, proto, st, int64(1000*s+protoSeed(proto)))
+				cfg.WithTrace = true
 				cells = append(cells, DifferentialCell{
 					Country:  d.Country,
 					Protocol: proto,

@@ -194,14 +194,9 @@ func (e *Evaluator) BatchFitness(batch []*core.Strategy) []float64 {
 // sample measures a strategy's raw success rate — the pure function the
 // cache memoizes — with its trials on a pool of the given width.
 func (e *Evaluator) sample(s *core.Strategy, workers int) float64 {
-	return Rate(Config{
-		Country:  e.country,
-		Session:  SessionFor(e.country, e.protocol, true),
-		Strategy: s,
-		Tries:    TriesFor(e.protocol),
-		Seed:     e.seedBase,
-		Workers:  workers,
-	}, e.trials)
+	cfg := TrialConfig(e.country, e.protocol, s, e.seedBase)
+	cfg.Workers = workers
+	return Rate(cfg, e.trials)
 }
 
 // Stats returns a snapshot of the cache counters.

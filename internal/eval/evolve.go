@@ -13,14 +13,7 @@ import (
 // the forbidden content through the given country's censor.
 func FitnessFor(country, protocol string, trials int, seedBase int64) func(*core.Strategy) float64 {
 	return func(s *core.Strategy) float64 {
-		cfg := Config{
-			Country:  country,
-			Session:  SessionFor(country, protocol, true),
-			Strategy: s,
-			Tries:    TriesFor(protocol),
-			Seed:     seedBase,
-		}
-		return Rate(cfg, trials)
+		return Rate(TrialConfig(country, protocol, s, seedBase), trials)
 	}
 }
 

@@ -15,14 +15,8 @@ import (
 // the packet exchange in the style of Figures 1 and 2. The country picks
 // the censor ("" for a censor-free diagram of pure client/server behaviour).
 func Waterfall(country string, strat *strategies.Strategy, seed int64) string {
-	proto := "http"
-	cfg := Config{
-		Country:   country,
-		Session:   SessionFor(country, proto, true),
-		ClientOS:  tcpstack.DefaultClient,
-		Seed:      seed,
-		WithTrace: true,
-	}
+	cfg := TrialConfig(country, "http", nil, seed)
+	cfg.WithTrace = true
 	title := "Normal behavior"
 	if strat != nil {
 		cfg.Strategy = strat.Parse()
@@ -61,14 +55,7 @@ func Figure1() string {
 // of the first 500 evade.
 func EvadingSeed(country, protocol string, s *core.Strategy) int64 {
 	for seed := int64(1); seed < 500; seed++ {
-		cfg := Config{
-			Country:  country,
-			Session:  SessionFor(country, protocol, true),
-			Strategy: s,
-			Tries:    TriesFor(protocol),
-			Seed:     seed,
-		}
-		if Run(cfg).Success {
+		if Run(TrialConfig(country, protocol, s, seed)).Success {
 			return seed
 		}
 	}
@@ -125,21 +112,17 @@ func LocalizeCensor(protocol string, seed int64) int {
 // given TTL and reports whether censorship was triggered.
 func probeAtTTL(protocol string, ttl uint8, seed int64) bool {
 	token := forbiddenToken(protocol)
-	cfg := Config{
-		Country: CountryChina,
-		Session: SessionFor(CountryChina, protocol, true),
-		Seed:    seed,
-		ClientHook: func(ep *tcpstack.Endpoint) {
-			ep.Outbound = func(p *packet.Packet) []*packet.Packet {
-				if len(p.TCP.Payload) > 0 && bytes.Contains(p.TCP.Payload, token) {
-					p.IP.TTL = ttl
-				}
-				return []*packet.Packet{p}
+	cfg := TrialConfig(CountryChina, protocol, nil, seed)
+	cfg.Tries = 1 // one probe per seed, DNS included
+	cfg.ClientHook = func(ep *tcpstack.Endpoint) {
+		ep.Outbound = func(p *packet.Packet) []*packet.Packet {
+			if len(p.TCP.Payload) > 0 && bytes.Contains(p.TCP.Payload, token) {
+				p.IP.TTL = ttl
 			}
-		},
+			return []*packet.Packet{p}
+		}
 	}
-	res := Run(cfg)
-	return res.CensorEvents > 0
+	return Run(cfg).CensorEvents > 0
 }
 
 // Figure3 produces the multi-box evidence (the paper's Figure 3 argument):
@@ -160,14 +143,7 @@ func Figure3(trials int) Figure3Result {
 	}
 	s5, _ := byNumber(5)
 	for _, proto := range ChinaProtocols {
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, proto, true),
-			Strategy: s5,
-			Tries:    TriesFor(proto),
-			Seed:     int64(500 + protoSeed(proto)),
-		}
-		res.StrategyRates[proto] = Rate(cfg, trials)
+		res.StrategyRates[proto] = Rate(TrialConfig(CountryChina, proto, s5, int64(500+protoSeed(proto))), trials)
 		res.CensorHops[proto] = LocalizeCensor(proto, int64(900+protoSeed(proto)))
 	}
 	return res

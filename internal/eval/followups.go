@@ -21,13 +21,7 @@ import (
 func ClientSideGeneralization(trials int) map[string]float64 {
 	out := make(map[string]float64)
 	for i, s := range strategies.ClientSideAnalogs() {
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, "http", true),
-			Strategy: s.Parse(),
-			Seed:     int64(3000 + i),
-		}
-		out[s.Name] = Rate(cfg, trials)
+		out[s.Name] = Rate(TrialConfig(CountryChina, "http", s.Parse(), int64(3000+i)), trials)
 	}
 	return out
 }
@@ -36,33 +30,30 @@ func ClientSideGeneralization(trials int) map[string]float64 {
 // packet that fails from the server evades when the *client* sends it (a
 // TTL-limited RST after the handshake, the seminal client-side strategy).
 func ClientSideTCBTeardownWorks(trials int) float64 {
-	succ := 0
-	for i := 0; i < trials; i++ {
-		cfg := Config{
-			Country: CountryChina,
-			Session: SessionFor(CountryChina, "http", true),
-			Seed:    int64(4000 + i),
-			ClientHook: func(ep *tcpstack.Endpoint) {
-				sentTeardown := false
-				ep.Outbound = func(p *packet.Packet) []*packet.Packet {
-					// After the handshake completes (first pure ACK),
-					// insert a TTL-limited RST with the correct seq.
-					if !sentTeardown && p.TCP.Flags == packet.FlagACK && len(p.TCP.Payload) == 0 {
-						sentTeardown = true
-						rst := p.Clone()
-						rst.TCP.Flags = packet.FlagRST
-						rst.IP.TTL = 8 // reaches the censor, not the server
-						return []*packet.Packet{p, rst}
-					}
-					return []*packet.Packet{p}
-				}
-			},
-		}
-		if Run(cfg).Success {
-			succ++
+	cfg := TrialConfig(CountryChina, "http", nil, 4000)
+	cfg.ClientHook = func(ep *tcpstack.Endpoint) {
+		sentTeardown := false
+		ep.Outbound = func(p *packet.Packet) []*packet.Packet {
+			// After the handshake completes (first pure ACK), insert a
+			// TTL-limited RST with the correct seq.
+			if !sentTeardown && p.TCP.Flags == packet.FlagACK && len(p.TCP.Payload) == 0 {
+				sentTeardown = true
+				rst := p.Clone()
+				rst.TCP.Flags = packet.FlagRST
+				rst.IP.TTL = 8 // reaches the censor, not the server
+				return []*packet.Packet{p, rst}
+			}
+			return []*packet.Packet{p}
 		}
 	}
-	return float64(succ) / float64(trials)
+	return rateStats(cfg, trials, 1, nil).Rate()
+}
+
+// rateCensored is the fraction of cfg's trials, seeds stepping by 1, in
+// which the censor acted at all.
+func rateCensored(cfg Config, trials int) float64 {
+	r := rateStats(cfg, trials, 1, nil)
+	return float64(r.Censored) / float64(r.Trials)
 }
 
 // --- §5.1 follow-ups (E7, E8, E9) ---
@@ -87,20 +78,9 @@ func seqOffsetHook(delta int32) func(*tcpstack.Endpoint) {
 func DesyncConfirmation(trials int) (withStrategy, withoutStrategy float64) {
 	s1, _ := byNumber(1)
 	censored := func(strategy *core.Strategy, seedBase int64) float64 {
-		n := 0
-		for i := 0; i < trials; i++ {
-			cfg := Config{
-				Country:    CountryChina,
-				Session:    SessionFor(CountryChina, "http", true),
-				Strategy:   strategy,
-				Seed:       seedBase + int64(i),
-				ClientHook: seqOffsetHook(-1),
-			}
-			if Run(cfg).CensorEvents > 0 {
-				n++
-			}
-		}
-		return float64(n) / float64(trials)
+		cfg := TrialConfig(CountryChina, "http", strategy, seedBase)
+		cfg.ClientHook = seqOffsetHook(-1)
+		return rateCensored(cfg, trials)
 	}
 	return censored(s1, 5000), censored(nil, 6000)
 }
@@ -124,12 +104,7 @@ func dropInducedRstHook(ep *tcpstack.Endpoint) {
 func InducedRstCriticality(trials int) (s5Normal, s5Dropped, s6Normal, s6Dropped float64) {
 	rate := func(num int, proto string, drop bool, seed int64) float64 {
 		s, _ := byNumber(num)
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, proto, true),
-			Strategy: s,
-			Seed:     seed,
-		}
+		cfg := TrialConfig(CountryChina, proto, s, seed)
 		if drop {
 			cfg.ClientHook = dropInducedRstHook
 		}
@@ -161,20 +136,9 @@ func matchRstSeqHook(ep *tcpstack.Endpoint) {
 // proving the GFW synchronized on that packet.
 func Strategy7ResyncTarget(trials int) (censoredRate float64) {
 	s7, _ := byNumber(7)
-	n := 0
-	for i := 0; i < trials; i++ {
-		cfg := Config{
-			Country:    CountryChina,
-			Session:    SessionFor(CountryChina, "http", true),
-			Strategy:   s7,
-			Seed:       8000 + int64(i),
-			ClientHook: matchRstSeqHook,
-		}
-		if Run(cfg).CensorEvents > 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(trials)
+	cfg := TrialConfig(CountryChina, "http", s7, 8000)
+	cfg.ClientHook = matchRstSeqHook
+	return rateCensored(cfg, trials)
 }
 
 // --- §4.2 residual censorship (E10) ---
@@ -194,12 +158,7 @@ func ResidualCensorshipExperiment() []ResidualResult {
 	var out []ResidualResult
 	for _, proto := range ChinaProtocols {
 		// A rig whose censor state persists across connections.
-		cfg := Config{
-			Country: CountryChina,
-			Session: SessionFor(CountryChina, proto, true),
-			Seed:    int64(9000 + protoSeed(proto)),
-		}
-		rig := NewRig(cfg)
+		rig := NewRig(TrialConfig(CountryChina, proto, nil, int64(9000+protoSeed(proto))))
 		// Trip the censor (retry until it fires; the baseline miss rate
 		// makes a single shot flaky).
 		for i := 0; i < 10 && rig.CensorEvents() == 0; i++ {
@@ -231,13 +190,7 @@ func ResidualCensorshipExperiment() []ResidualResult {
 
 // kzRate evaluates a raw DSL strategy against Kazakhstan HTTP.
 func kzRate(dsl string, trials int, seed int64) float64 {
-	cfg := Config{
-		Country:  CountryKazakhstan,
-		Session:  SessionFor(CountryKazakhstan, "http", true),
-		Strategy: core.MustParse(dsl),
-		Seed:     seed,
-	}
-	return Rate(cfg, trials)
+	return Rate(TrialConfig(CountryKazakhstan, "http", core.MustParse(dsl), seed), trials)
 }
 
 // TripleLoadSweep reproduces E11: Strategy 9 needs >= 3 back-to-back
@@ -303,15 +256,9 @@ func KazakhFlagSweep(trials int) map[string]float64 {
 // censor processes the *second* request).
 func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 	probe := func(first, second string) bool {
-		cfg := Config{
-			Country: CountryKazakhstan,
-			Session: SessionFor(CountryKazakhstan, "http", true),
-			Strategy: core.MustParse(fmt.Sprintf(
-				`[TCP:flags:SA]-duplicate(tamper{TCP:load:replace:%s},duplicate(tamper{TCP:load:replace:%s},))-| \/ `,
-				first, second)),
-			Seed: 130,
-		}
-		res := Run(cfg)
+		res := Run(TrialConfig(CountryKazakhstan, "http", core.MustParse(fmt.Sprintf(
+			`[TCP:flags:SA]-duplicate(tamper{TCP:load:replace:%s},duplicate(tamper{TCP:load:replace:%s},))-| \/ `,
+			first, second)), 130))
 		kz, ok := res.Censor.(*kazakh.Kazakh)
 		return ok && kz.ProbeResponses > 0
 	}
@@ -328,13 +275,10 @@ func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 func PortSensitivity() map[string]bool {
 	out := make(map[string]bool)
 	for _, country := range CensoredCountries() {
-		proto := SweepProtocol(country)
-		session := SessionFor(country, proto, true)
-		session.Port = 8080
-		cfg := Config{Country: country, Session: session, Tries: TriesFor(proto), Seed: 140}
+		cfg := TrialConfig(country, SweepProtocol(country), nil, 140)
+		cfg.Session.Port = 8080
 		// "Defeats censorship" = the forbidden request goes through.
-		rate := Rate(cfg, 20)
-		out[country] = rate > 0.9
+		out[country] = Rate(cfg, 20) > 0.9
 	}
 	return out
 }
@@ -346,12 +290,7 @@ func Statelessness() map[string]bool {
 	out := make(map[string]bool)
 	for _, country := range CensoredCountries() {
 		proto := SweepProtocol(country)
-		cfg := Config{
-			Country: country,
-			Session: SessionFor(country, proto, true),
-			Seed:    150,
-		}
-		rig := NewRig(cfg)
+		rig := NewRig(TrialConfig(country, proto, nil, 150))
 		// A bare forbidden trigger on the censor's sweep protocol, no
 		// handshake (HTTPS-only censors like Jio get a ClientHello).
 		var port uint16

@@ -55,7 +55,7 @@ var censorRegistry = []CensorDef{
 		Country:      CountryChina,
 		Display:      "China (GFW)",
 		MetricLabel:  "china",
-		Protocols:    []string{"dns", "ftp", "http", "https", "smtp"},
+		Protocols:    Protocols(),
 		Residual:     true,
 		RouterPrefix: netip.MustParsePrefix("10.1.0.0/16"),
 		Deploy:       strategies.Strategy1,

@@ -17,13 +17,8 @@ func DNSRetryCurve(strategyNum, maxTries, trials int) []float64 {
 func dnsRetryCurve(s *core.Strategy, maxTries, trials int) []float64 {
 	out := make([]float64, maxTries+1)
 	for tries := 1; tries <= maxTries; tries++ {
-		cfg := Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, "dns", true),
-			Strategy: s,
-			Tries:    tries,
-			Seed:     int64(5000 * tries),
-		}
+		cfg := TrialConfig(CountryChina, "dns", s, int64(5000*tries))
+		cfg.Tries = tries // the swept retry budget
 		out[tries] = Rate(cfg, trials)
 	}
 	return out
@@ -40,12 +35,7 @@ func OrderSensitivity(trials int) (normal, reversed float64) {
 	// The reverse of Strategy 5: duplicate(payload copy, corrupt-ack copy).
 	rev := core.MustParse(`[TCP:flags:SA]-duplicate(tamper{TCP:load:corrupt},tamper{TCP:ack:corrupt})-| \/ `)
 	rate := func(st *core.Strategy, seed int64) float64 {
-		return Rate(Config{
-			Country:  CountryChina,
-			Session:  SessionFor(CountryChina, "ftp", true),
-			Strategy: st,
-			Seed:     seed,
-		}, trials)
+		return Rate(TrialConfig(CountryChina, "ftp", st, seed), trials)
 	}
 	return rate(s5, 6100), rate(rev, 6200)
 }

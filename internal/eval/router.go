@@ -7,7 +7,6 @@ import (
 
 	"geneva/internal/core"
 	"geneva/internal/selector"
-	"geneva/internal/tcpstack"
 )
 
 // RouterPrefixes stands in for the paper's §8 country-level IP geolocation:
@@ -100,27 +99,13 @@ func NewDeploymentRouter(seed int64) *core.Router {
 func RouterDeployment(trials int) map[string]float64 {
 	out := make(map[string]float64)
 	for _, country := range Countries() {
-		proto := SweepProtocol(country)
-		succ := 0
-		for i := 0; i < trials; i++ {
-			seed := int64(4200 + i*31)
-			cfg := Config{
-				Country: country,
-				Session: SessionFor(country, proto, true),
-				Tries:   TriesFor(proto),
-				Seed:    seed,
-				ServerHook: func(ep *tcpstack.Endpoint) {
-					ep.Outbound = NewDeploymentRouter(seed).Outbound
-				},
-			}
-			if country != CountryNone {
-				cfg.ClientAddress = routerClientAddr(country)
-			} // CountryNone keeps the default (unrouted) address
-			if Run(cfg).Success {
-				succ++
-			}
-		}
-		out[country] = float64(succ) / float64(trials)
+		cfg := TrialConfig(country, SweepProtocol(country), nil, 4200)
+		if country != CountryNone {
+			cfg.ClientAddress = routerClientAddr(country)
+		} // CountryNone keeps the default (unrouted) address
+		out[country] = rateStats(cfg, trials, 31, func(r *Rig, seed int64) {
+			r.Server.Outbound = NewDeploymentRouter(seed).Outbound
+		}).Rate()
 	}
 	return out
 }

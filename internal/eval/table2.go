@@ -75,19 +75,6 @@ func buildSession(country, protocol string, forbidden bool) *apps.Session {
 	panic("eval: unknown protocol " + protocol)
 }
 
-// TriesFor returns the connection attempts per trial: the paper tests DNS
-// with a maximum of 3 tries (RFC 7766 retry behaviour); everything else
-// gets one.
-func TriesFor(protocol string) int {
-	if protocol == "dns" {
-		return 3
-	}
-	return 1
-}
-
-// ChinaProtocols are the five protocols the GFW censors (Table 1/2).
-var ChinaProtocols = []string{"dns", "ftp", "http", "https", "smtp"}
-
 // Table2Row is one row of Table 2: a strategy (or "No evasion") with its
 // success rate per protocol. Rates are in [0,1]; -1 marks cells the paper
 // leaves blank ("–").
@@ -130,17 +117,8 @@ func chinaBlock(trials int) Table2Block {
 	}
 	for _, proto := range ChinaProtocols {
 		for i := range rows {
-			cfg := Config{
-				Country: CountryChina,
-				Session: SessionFor(CountryChina, proto, true),
-				Tries:   TriesFor(proto),
-				Seed:    int64(1000*i + protoSeed(proto)),
-			}
-			if rows[i].Number > 0 {
-				s, _ := strategies.ByNumber(rows[i].Number)
-				cfg.Strategy = s.Parse()
-			}
-			rows[i].Rates[proto] = Rate(cfg, trials)
+			s, _ := byNumber(rows[i].Number) // row 0, no evasion: nil
+			rows[i].Rates[proto] = Rate(TrialConfig(CountryChina, proto, s, int64(1000*i+protoSeed(proto))), trials)
 		}
 	}
 	b.Rows = rows
@@ -159,13 +137,7 @@ func singleProtocolBlock(country string, trials int, strats []strategies.Strateg
 	}
 	noEvasion := Table2Row{Number: 0, Name: "No evasion", Rates: map[string]float64{}}
 	for _, proto := range ChinaProtocols {
-		cfg := Config{
-			Country: country,
-			Session: SessionFor(country, proto, true),
-			Tries:   TriesFor(proto),
-			Seed:    int64(protoSeed(proto)),
-		}
-		noEvasion.Rates[proto] = Rate(cfg, trials)
+		noEvasion.Rates[proto] = Rate(TrialConfig(country, proto, nil, int64(protoSeed(proto))), trials)
 	}
 	b.Rows = append(b.Rows, noEvasion)
 	for _, s := range strats {
@@ -175,34 +147,11 @@ func singleProtocolBlock(country string, trials int, strats []strategies.Strateg
 				row.Rates[proto] = -1 // the paper's "–"
 				continue
 			}
-			cfg := Config{
-				Country:  country,
-				Session:  SessionFor(country, proto, true),
-				Strategy: s.Parse(),
-				Tries:    TriesFor(proto),
-				Seed:     int64(100*s.Number + protoSeed(proto)),
-			}
-			row.Rates[proto] = Rate(cfg, trials)
+			row.Rates[proto] = Rate(TrialConfig(country, proto, s.Parse(), int64(100*s.Number+protoSeed(proto))), trials)
 		}
 		b.Rows = append(b.Rows, row)
 	}
 	return b
-}
-
-func protoSeed(proto string) int {
-	switch proto {
-	case "dns":
-		return 1
-	case "ftp":
-		return 2
-	case "http":
-		return 3
-	case "https":
-		return 4
-	case "smtp":
-		return 5
-	}
-	return 9
 }
 
 // FormatTable2 renders the blocks in the paper's layout.

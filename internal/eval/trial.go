@@ -13,6 +13,7 @@ import (
 	"geneva/internal/censor"
 	"geneva/internal/core"
 	"geneva/internal/netsim"
+	"geneva/internal/obs"
 	"geneva/internal/tcpstack"
 )
 
@@ -86,8 +87,6 @@ type Config struct {
 	ServerHook func(*tcpstack.Endpoint)
 	// WithTrace records a packet trace (waterfalls).
 	WithTrace bool
-	// Blocklist defaults to censor.Default().
-	Blocklist *censor.Blocklist
 	// Impairments adds seedable loss/duplication/reordering/jitter to the
 	// path and arms endpoint retransmission. The zero value leaves the
 	// network lossless, the retransmission timers unarmed, and every trial
@@ -98,6 +97,21 @@ type Config struct {
 	// trial derives its randomness from Seed and its own index, so results
 	// are identical at any width.
 	Workers int
+}
+
+// TrialConfig is the paper's §4.2 trial (the one recipe every experiment,
+// Run, the fitness function and the explorer share): a client in country
+// fetching forbidden content over protocol from a server running strategy
+// (nil = no evasion), with the protocol's attempt budget (TriesFor), at
+// seed. A trial that deviates from the recipe sets the field afterwards.
+func TrialConfig(country, protocol string, strategy *core.Strategy, seed int64) Config {
+	return Config{
+		Country:  country,
+		Session:  SessionFor(country, protocol, true),
+		Strategy: strategy,
+		Tries:    TriesFor(protocol),
+		Seed:     seed,
+	}
 }
 
 // Result of a trial.
@@ -134,27 +148,20 @@ func NewRig(cfg Config) *Rig {
 	if cfg.ClientOS.Name == "" {
 		cfg.ClientOS = tcpstack.DefaultClient
 	}
-	bl := censor.Default()
-	if cfg.Blocklist != nil {
-		// Normalize once at rig construction so mixed-case or padded
-		// entries match, and the per-packet Match fast path never pays for
-		// re-normalizing.
-		bl = cfg.Blocklist.Normalize()
-	}
 	seed := cfg.Seed
 	clientAddr := cfg.ClientAddress
 	if !clientAddr.IsValid() {
 		clientAddr = ClientAddr
 	}
-	client := tcpstack.NewEndpoint(clientAddr, cfg.ClientOS, rand.New(rand.NewSource(seed)))
-	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rand.New(rand.NewSource(seed+1)))
+	client := tcpstack.NewEndpoint(clientAddr, cfg.ClientOS, rand.New(rand.NewSource(seed+streamClient)))
+	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rand.New(rand.NewSource(seed+streamServer)))
 	server.NewServerApp = cfg.Session.ServerFactory()
 	server.Listen(cfg.Session.Port)
 	if cfg.Strategy != nil {
-		server.Outbound = core.NewEngine(cfg.Strategy, rand.New(rand.NewSource(seed+2))).Outbound
+		server.Outbound = core.NewEngine(cfg.Strategy, rand.New(rand.NewSource(seed+streamEngine))).Outbound
 	}
 
-	cen := NewCensor(cfg.Country, bl, rand.New(rand.NewSource(seed+3)))
+	cen := NewCensor(cfg.Country, censor.Default(), rand.New(rand.NewSource(seed+streamCensor)))
 	n := netsim.New(client, server, cen)
 	// Recycling is safe here because every component in the rig — endpoints,
 	// censors, apps — copies what it keeps and never retains a delivered
@@ -165,9 +172,9 @@ func NewRig(cfg Config) *Rig {
 		n.Trace = &netsim.Trace{}
 	}
 	if cfg.Impairments.Enabled() {
-		// seed+4 keeps the impairment schedule independent of the ISN,
-		// engine, and censor rng streams (seed..seed+3).
-		n.SetImpairments(cfg.Impairments, rand.New(rand.NewSource(seed+4)))
+		// A stream of its own keeps the impairment schedule independent of
+		// the ISN, engine, and censor streams.
+		n.SetImpairments(cfg.Impairments, rand.New(rand.NewSource(seed+streamImpairments)))
 		client.Retransmit = tcpstack.DefaultRetransmit
 		server.Retransmit = tcpstack.DefaultRetransmit
 	}
@@ -207,20 +214,24 @@ func (r *Rig) CensorEvents() int {
 // paper leans on for DNS success rates).
 func Run(cfg Config) Result { return NewRig(cfg).run(cfg.Tries) }
 
+// Retry is the one reconnect rule, shared by trials and the fleet: a client
+// whose attempt-th connection ended as app connects again when that attempt
+// failed, is retryable (torn down — RFC 7766 — or any failure at all under
+// retryAll) and the budget allows another attempt.
+func Retry(app *apps.Script, attempt, budget int, retryAll bool) bool {
+	return !app.Succeeded() && (app.Reset() || retryAll) && attempt < budget
+}
+
 // run is Run's try loop on an already built rig.
 func (rig *Rig) run(tries int) Result {
-	tries = max(tries, 1)
 	res := Result{Censor: rig.Censor, Rig: rig}
-	for i := 0; i < tries; i++ {
+	for {
 		app := rig.Attempt()
 		res.Attempts++
 		res.Established = res.Established || app.Established()
-		if app.Succeeded() {
-			res.Success = true
-			break
-		}
-		if !app.Reset() {
-			break // blackholed or corrupted: real clients stop retrying
+		res.Success = app.Succeeded()
+		if !Retry(app, res.Attempts, tries, false) {
+			break // served, out of tries, or blackholed/corrupted: real clients stop
 		}
 	}
 	res.CensorEvents = rig.CensorEvents()
@@ -248,6 +259,8 @@ type RateResult struct {
 	Succeeded int
 	// Established counts trials in which any attempt completed a handshake.
 	Established int
+	// Censored counts trials in which the censor acted at least once.
+	Censored int
 	// Attempts is the total number of connections across all trials
 	// (retries included).
 	Attempts int
@@ -263,17 +276,47 @@ func (r RateResult) Rate() float64 {
 	return float64(r.Succeeded) / float64(r.Trials)
 }
 
+// The seed schedule. Trial i of a batch rooted at seed runs at seed +
+// i*trialStride, and each rig derives its rng streams at fixed offsets from
+// its trial seed. SeedSchedule records exactly these in run manifests.
+const (
+	trialStride = 7919
+
+	streamClient      = 0 // client ISNs and ports
+	streamServer      = 1
+	streamEngine      = 2 // the server's strategy engine
+	streamCensor      = 3
+	streamImpairments = 4 // loss, duplication, reordering, jitter
+)
+
+// SeedSchedule is the manifest's record of the seed schedule rooted at base.
+func SeedSchedule(base int64) obs.SeedSchedule {
+	return obs.SeedSchedule{
+		Base:      base,
+		TrialStep: trialStride,
+		Streams: map[string]int64{
+			"client":      streamClient,
+			"server":      streamServer,
+			"engine":      streamEngine,
+			"censor":      streamCensor,
+			"impairments": streamImpairments,
+		},
+	}
+}
+
 // RateStats runs trials independent trials of cfg (varying the seed) and
 // returns the aggregated outcome counts. Trials share no state — every rig
 // is built from its own seed — so they run on a worker pool bounded by
 // cfg.Workers (0 = the process default; 1 runs them inline, in order). Each
 // trial keeps only its counts, so its rig is garbage as soon as it settles,
 // and the fold is a commutative sum, identical at any width.
-func RateStats(cfg Config, trials int) RateResult { return rateStats(cfg, trials, nil) }
+func RateStats(cfg Config, trials int) RateResult { return rateStats(cfg, trials, trialStride, nil) }
 
-// rateStats is RateStats with an optional edit applied to each trial's rig
-// before its first attempt (the ablations rewrite censor parameters there).
-func rateStats(cfg Config, trials int, edit func(*Rig)) RateResult {
+// rateStats is the one trial fold: trial i runs at cfg.Seed + i*stride, with
+// an optional edit applied to its rig (given the trial seed) before the
+// first attempt — the ablations rewrite censor parameters there, and the §8
+// router experiment installs a router seeded per trial.
+func rateStats(cfg Config, trials int, stride int64, edit func(r *Rig, seed int64)) RateResult {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = Workers()
@@ -281,10 +324,10 @@ func rateStats(cfg Config, trials int, edit func(*Rig)) RateResult {
 	per := make([]RateResult, trials)
 	RunParallel(workers, trials, func(i int) {
 		c := cfg
-		c.Seed = cfg.Seed + int64(i)*7919
+		c.Seed = cfg.Seed + int64(i)*stride
 		rig := NewRig(c)
 		if edit != nil {
-			edit(rig)
+			edit(rig, c.Seed)
 		}
 		res := rig.run(c.Tries)
 		per[i] = RateResult{Trials: 1, Attempts: res.Attempts, CensorEvents: res.CensorEvents}
@@ -294,12 +337,16 @@ func rateStats(cfg Config, trials int, edit func(*Rig)) RateResult {
 		if res.Established {
 			per[i].Established = 1
 		}
+		if res.CensorEvents > 0 {
+			per[i].Censored = 1
+		}
 	})
 	var out RateResult
 	for _, r := range per {
 		out.Trials += r.Trials
 		out.Succeeded += r.Succeeded
 		out.Established += r.Established
+		out.Censored += r.Censored
 		out.Attempts += r.Attempts
 		out.CensorEvents += r.CensorEvents
 	}

@@ -24,10 +24,60 @@ func Countries() []string {
 	return append(CensoredCountries(), CountryNone)
 }
 
+// protocolTable is the one protocol table, in the order every experiment
+// enumerates protocols: each modeled application protocol with the seed
+// offset the experiments key their cell seeds off and its per-trial attempt
+// budget (the paper tests DNS with up to 3 tries, RFC 7766 retry
+// behaviour; everything else gets one).
+var protocolTable = []struct {
+	name  string
+	seed  int
+	tries int
+}{
+	{"dns", 1, 3},
+	{"ftp", 2, 1},
+	{"http", 3, 1},
+	{"https", 4, 1},
+	{"smtp", 5, 1},
+}
+
+// protocolRow returns protocol's index in protocolTable, or -1.
+func protocolRow(protocol string) int {
+	for i, p := range protocolTable {
+		if p.name == protocol {
+			return i
+		}
+	}
+	return -1
+}
+
 // Protocols returns every application protocol the harness can speak.
 func Protocols() []string {
-	return []string{"dns", "ftp", "http", "https", "smtp"}
+	out := make([]string, len(protocolTable))
+	for i, p := range protocolTable {
+		out[i] = p.name
+	}
+	return out
 }
+
+// ChinaProtocols are the five protocols the GFW censors (Table 1/2): every
+// modeled protocol.
+var ChinaProtocols = Protocols()
+
+// ValidProtocol reports whether protocol names a modeled application session.
+func ValidProtocol(protocol string) bool { return protocolRow(protocol) >= 0 }
+
+// TriesFor returns the connection attempts per trial of protocol (1 for an
+// unknown protocol).
+func TriesFor(protocol string) int {
+	if i := protocolRow(protocol); i >= 0 {
+		return protocolTable[i].tries
+	}
+	return 1
+}
+
+// protoSeed is protocol's seed offset.
+func protoSeed(protocol string) int { return protocolTable[protocolRow(protocol)].seed }
 
 // ValidCountry reports whether country names a modeled censor (or
 // CountryNone, the uncensored private network).
@@ -37,15 +87,6 @@ func ValidCountry(country string) bool {
 	}
 	_, ok := CensorByCountry(country)
 	return ok
-}
-
-// ValidProtocol reports whether protocol names a modeled application session.
-func ValidProtocol(protocol string) bool {
-	switch protocol {
-	case "dns", "ftp", "http", "https", "smtp":
-		return true
-	}
-	return false
 }
 
 // CheckCountryProtocol validates a (country, protocol) pair, returning a

@@ -188,12 +188,40 @@ type CensorShift struct {
 	Country string
 	// Params maps parameter names to new values, bare ("prst") or
 	// protocol-scoped ("http.prst") — see censor.ParamShifter. nil
-	// disables the shift.
+	// disables the shift. Every targeted censor that takes shifts must
+	// accept every entry, and at least one targeted censor must take them.
 	Params map[string]float64
 }
 
 // Enabled reports whether the shift does anything.
 func (cs CensorShift) Enabled() bool { return len(cs.Params) > 0 }
+
+// check applies the shift to a throwaway censor of every targeted country
+// (Country, or all of countries) that implements censor.ParamShifter, so an
+// entry one of them rejects fails before the run; a shift that reaches no
+// such censor would change nothing and fails too.
+func (cs CensorShift) check(countries []string) error {
+	if !cs.Enabled() {
+		return nil
+	}
+	if cs.Country != "" {
+		countries = []string{cs.Country}
+	}
+	shifters := 0
+	for _, c := range countries {
+		// The censor never sees a packet, so it needs no rng.
+		if sh, ok := eval.NewCensor(c, censor.Default(), nil).(censor.ParamShifter); ok {
+			shifters++
+			if err := sh.ShiftParams(cs.Params); err != nil {
+				return err
+			}
+		}
+	}
+	if shifters == 0 {
+		return fmt.Errorf("no censor among %q takes parameter shifts", countries)
+	}
+	return nil
+}
 
 // ReconnectPolicy says how a client behaves after a connection attempt
 // fails: how long it waits, how many times it tries, and which failures it
@@ -467,6 +495,9 @@ func (wl Workload) validate() error {
 	}
 	if wl.Shift.AtWave < 0 {
 		return fmt.Errorf("fleet: Shift.AtWave %d is negative", wl.Shift.AtWave)
+	}
+	if err := wl.Shift.check(wl.Countries); err != nil {
+		return fmt.Errorf("fleet: Shift.Params: %w", err)
 	}
 	if wl.Reconnect.MaxAttempts < 0 {
 		return fmt.Errorf("fleet: Reconnect.MaxAttempts %d is negative", wl.Reconnect.MaxAttempts)
@@ -883,7 +914,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 		(c.wl.Shift.Country == "" || c.wl.Shift.Country == c.plan.country) {
 		c.shifted = true
 		if c.shifter != nil {
-			c.shifter.ShiftParams(c.wl.Shift.Params)
+			_ = c.shifter.ShiftParams(c.wl.Shift.Params) // accepted by validate
 		}
 	}
 
@@ -958,8 +989,7 @@ func (c *cell) runWave(w int, ledger residualLedger, sh *shardRun) {
 			if pol.MaxAttempts > 0 {
 				budget = pol.MaxAttempts
 			}
-			retryable := app.Reset() || (pol.RetryAll && !app.Succeeded())
-			if !app.Succeeded() && retryable && f.attempts < budget {
+			if eval.Retry(app, f.attempts, budget, pol.RetryAll) {
 				// Reconnect with a session carrying only the exchanges still
 				// owed: whole exchanges already served stay served.
 				remaining := f.planned - f.served

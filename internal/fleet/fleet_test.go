@@ -209,6 +209,12 @@ func TestFleetValidation(t *testing.T) {
 		{"Shift.Country", Workload{Countries: []string{eval.CountryChina},
 			Shift: CensorShift{Country: eval.CountryIran, Params: shift}}},
 		{"Shift.AtWave", Workload{Shift: CensorShift{AtWave: -1, Params: shift}}},
+		{"Shift.Params", Workload{Shift: CensorShift{Params: map[string]float64{"nosuch": 0}}}},
+		{"Shift.Params", Workload{Shift: CensorShift{Params: map[string]float64{"prst": 7}}}},
+		{"Shift.Params", Workload{Shift: CensorShift{Params: map[string]float64{"residual_s": -1}}}},
+		{"Shift.Params", Workload{Shift: CensorShift{Params: map[string]float64{"quic.prst": 0}}}},
+		{"Shift.Params", Workload{Countries: []string{eval.CountryChina, eval.CountryIran},
+			Shift: CensorShift{Country: eval.CountryIran, Params: shift}}},
 		{"Reconnect.MaxAttempts", Workload{Reconnect: ReconnectPolicy{MaxAttempts: -3}}},
 		{"Reconnect.Backoff", Workload{Reconnect: ReconnectPolicy{Backoff: -time.Second}}},
 		{"Countries", Workload{Countries: []string{eval.CountryChina, eval.CountryChina}}},
@@ -229,6 +235,15 @@ func TestFleetValidation(t *testing.T) {
 		}
 		if tc.field == "Shift.Country" && !errors.Is(err, eval.ErrUnknownCountry) {
 			t.Errorf("%s: error does not wrap ErrUnknownCountry: %v", tc.field, err)
+		}
+	}
+	// Shifts some targeted censor takes still run.
+	for _, cs := range []CensorShift{
+		{Country: eval.CountryChina, Params: shift},
+		{Params: map[string]float64{"http.residual_s": 30, "pmiss": 1}},
+	} {
+		if _, err := Run(Workload{Connections: 8, Shift: cs}); err != nil {
+			t.Errorf("shift %+v rejected: %v", cs, err)
 		}
 	}
 }

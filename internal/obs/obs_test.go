@@ -146,7 +146,7 @@ func TestManifestRoundtrip(t *testing.T) {
 	Reset()
 	testCounter.Add(42)
 	m := NewManifest("evaluate -trials 2", map[string]string{"trials": "2"},
-		DefaultSeedSchedule(7))
+		SeedSchedule{Base: 7, TrialStep: 13, Streams: map[string]int64{"client": 0, "censor": 3}})
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestManifestRoundtrip(t *testing.T) {
 	if got.Metrics.Counters["test.counter"] != 42 {
 		t.Errorf("manifest counter = %d, want 42", got.Metrics.Counters["test.counter"])
 	}
-	if got.Seeds.Base != 7 || got.Seeds.TrialStep != 7919 || got.Seeds.Streams["censor"] != 3 {
+	if got.Seeds.Base != 7 || got.Seeds.TrialStep != 13 || got.Seeds.Streams["censor"] != 3 {
 		t.Errorf("seed schedule mangled: %+v", got.Seeds)
 	}
 	// Two writes of the same state are byte-identical (diffability).
