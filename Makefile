@@ -46,7 +46,7 @@ bench-evolve:
 
 # Trial hot-path benchmarks; regenerates BENCH_trial.json with the current
 # numbers next to the frozen pre-pooling baseline (see tools/benchjson).
-BENCH_TRIAL = 'BenchmarkTrial|BenchmarkPacketRoundtrip|BenchmarkPacketMarshal|BenchmarkPacketParse|BenchmarkEngineApply|BenchmarkFullConnection'
+BENCH_TRIAL = 'BenchmarkTrial|BenchmarkRigSetup|BenchmarkPacketRoundtrip|BenchmarkPacketMarshal|BenchmarkPacketParse|BenchmarkEngineApply|BenchmarkFullConnection'
 bench-trial:
 	$(GO) test -run '^$$' -bench $(BENCH_TRIAL) -benchmem -benchtime 2000x . | tee /tmp/bench_trial.txt
 	$(GO) run ./tools/benchjson < /tmp/bench_trial.txt > BENCH_trial.json
@@ -77,9 +77,11 @@ bench-fleet-gate:
 # 1/2/8; the GA's first-occurrence parsimony rule holds on the batch path;
 # every RateStats count is identical at 1, 2 and 8 trial workers; the one
 # trial fold equals a serial loop of single trials at any width and seed
-# stride; and a rig rebuilt from the manifest's seed schedule alone
-# reproduces RateStats. CI runs exactly this.
-ENGINE_RUN = Deterministic|BatchMatchesSequential|BatchSeam|ParsimonyFirstOccurrence|Evaluator|FitnessCache|EvolveWithStats|RateStatsWidthInvariance|FoldMatchesSerialReference|SeedScheduleDescribesRig
+# stride; a rig rebuilt from the manifest's seed schedule alone
+# reproduces RateStats; and lazyrand's generators, fresh, reseeded or
+# pooled, draw rand.NewSource's streams under every *rand.Rand method. CI
+# runs exactly this.
+ENGINE_RUN = Deterministic|BatchMatchesSequential|BatchSeam|ParsimonyFirstOccurrence|Evaluator|FitnessCache|EvolveWithStats|RateStatsWidthInvariance|FoldMatchesSerialReference|SeedScheduleDescribesRig|StreamIdentity|ReseedUsedGenerator
 engine-determinism:
 	$(call require-tests,$(ENGINE_RUN),./...)
 	$(GO) test -race -shuffle=on -run '$(ENGINE_RUN)' ./...
@@ -178,6 +180,7 @@ fuzz-smoke:
 	$(call require-tests,^FuzzImpairments$$|^FuzzEventQueue$$,./internal/netsim/)
 	$(call require-tests,^FuzzIndiaProcess$$,./internal/censor/india/)
 	$(call require-tests,^FuzzTMCProcess$$,./internal/censor/tmc/)
+	$(call require-tests,^FuzzLazySource$$,./internal/lazyrand/)
 	$(GO) test -fuzz '^FuzzDNSQueryName$$' -fuzztime $(FUZZTIME) ./internal/apps/
 	$(GO) test -fuzz '^FuzzExtractSNI$$' -fuzztime $(FUZZTIME) ./internal/apps/
 	$(GO) test -fuzz '^FuzzHTTPParsers$$' -fuzztime $(FUZZTIME) ./internal/apps/
@@ -189,6 +192,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/netsim/
 	$(GO) test -fuzz '^FuzzIndiaProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/india/
 	$(GO) test -fuzz '^FuzzTMCProcess$$' -fuzztime $(FUZZTIME) ./internal/censor/tmc/
+	$(GO) test -fuzz '^FuzzLazySource$$' -fuzztime $(FUZZTIME) ./internal/lazyrand/
 
 # Static checks: vet always; gocritic (checks like hugeParam — catching
 # accidental by-value copies of packet structs) only when installed.

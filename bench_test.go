@@ -297,7 +297,9 @@ func BenchmarkFullConnection(b *testing.B) {
 // tracks (make bench-trial / BENCH_trial.json): one complete China/http
 // evasion trial with Strategy 1 — serialize, impair, censor, deliver. The
 // trace sub-benchmark runs the identical trial with packet tracing enabled,
-// pricing the opt-in capture path against the nop default.
+// pricing the opt-in capture path against the nop default. The ratestats
+// sub-benchmark runs the notrace trial b.N times in one RateStats fold on
+// one worker: what a fitness sample pays per trial, generators recycled.
 func BenchmarkTrial(b *testing.B) {
 	s1, _ := strategies.ByNumber(1)
 	st := s1.Parse()
@@ -319,6 +321,30 @@ func BenchmarkTrial(b *testing.B) {
 				})
 			}
 		})
+	}
+	b.Run("ratestats", func(b *testing.B) {
+		cfg := eval.TrialConfig(eval.CountryChina, "http", st, 0)
+		cfg.Workers = 1
+		b.ReportAllocs()
+		rateSink = eval.RateStats(cfg, b.N)
+	})
+}
+
+var (
+	rateSink eval.RateResult
+	rigSink  *eval.Rig
+)
+
+// BenchmarkRigSetup prices building the sandbox of BenchmarkTrial's
+// China/http Strategy 1 trial alone: endpoints, engine, censor, network
+// and their seeded generators, with nothing run on it.
+func BenchmarkRigSetup(b *testing.B) {
+	s1, _ := strategies.ByNumber(1)
+	cfg := eval.TrialConfig(eval.CountryChina, "http", s1.Parse(), 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		rigSink = eval.NewRig(cfg)
 	}
 }
 

@@ -1,10 +1,10 @@
 package eval
 
 import (
-	"math/rand"
 	"time"
 
 	"geneva/internal/core"
+	"geneva/internal/lazyrand"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 	"geneva/internal/strategies"
@@ -60,11 +60,11 @@ func CarrierInterference() map[string]map[int]bool {
 // carrierTrial runs one censor-free connection behind the given middlebox.
 func carrierTrial(box netsim.Middlebox, strategy *core.Strategy) bool {
 	session := SessionFor(CountryNone, "http", true)
-	client := tcpstack.NewEndpoint(ClientAddr, tcpstack.DefaultClient, rand.New(rand.NewSource(1)))
-	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rand.New(rand.NewSource(2)))
+	client := tcpstack.NewEndpoint(ClientAddr, tcpstack.DefaultClient, lazyrand.New(1))
+	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, lazyrand.New(2))
 	server.NewServerApp = session.ServerFactory()
 	server.Listen(session.Port)
-	server.Outbound = core.NewEngine(strategy, rand.New(rand.NewSource(3))).Outbound
+	server.Outbound = core.NewEngine(strategy, lazyrand.New(3)).Outbound
 	n := netsim.New(client, server, box)
 	client.Attach(n)
 	server.Attach(n)

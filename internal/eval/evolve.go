@@ -6,6 +6,7 @@ import (
 
 	"geneva/internal/core"
 	"geneva/internal/genetic"
+	"geneva/internal/lazyrand"
 )
 
 // FitnessFor builds the fitness function Geneva trains with (§4.1): the
@@ -85,7 +86,7 @@ func gaConfig(opt EvolveOptions) genetic.Config {
 		// restricted to it; FTP servers speak first (the 220 greeting),
 		// so there the trigger itself evolves.
 		EvolveTrigger: opt.Protocol == "ftp",
-		Rng:           rand.New(rand.NewSource(opt.Seed)),
+		Rng:           lazyrand.New(opt.Seed),
 	}
 }
 

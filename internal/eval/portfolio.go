@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"geneva/internal/core"
+	"geneva/internal/lazyrand"
 	"geneva/internal/selector"
 )
 
@@ -45,10 +46,10 @@ var portfolioPools sync.Map // hash -> *sync.Pool
 
 // AcquirePortfolioEngines leases one engine per portfolio arm, rng-seeded
 // at seed + arm: seed is the stream of arm 0, and the caller owns the seed
-// schedule around it. Reseeding a pooled engine's rng recreates the exact
-// stream of a fresh one (engines keep no other per-run state — flow
-// pinning lives in the router), so a leased set is indistinguishable from
-// newly built engines. Hand it back with ReleasePortfolioEngines.
+// schedule around it. A pooled lease only reseeds its engines' generators
+// (engines keep no other per-run state — flow pinning lives in the
+// router), so it is indistinguishable from newly built engines. Hand it
+// back with ReleasePortfolioEngines.
 func AcquirePortfolioEngines(p selector.Portfolio, seed int64) *PortfolioLease {
 	poolAny, ok := portfolioPools.Load(p.Hash())
 	if !ok {
@@ -68,7 +69,7 @@ func AcquirePortfolioEngines(p selector.Portfolio, seed int64) *PortfolioLease {
 		pool:    pool,
 	}
 	for a := 0; a < p.Len(); a++ {
-		l.rngs[a] = rand.New(rand.NewSource(seed + int64(a)))
+		l.rngs[a] = lazyrand.Get(seed + int64(a))
 		l.Engines[a] = core.NewEngine(p.Strategy(a), l.rngs[a])
 	}
 	return l

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -92,7 +93,9 @@ func TestRecyclingBitIdentical(t *testing.T) {
 // TestTrialAllocBudget pins the end-to-end per-trial allocation budget.
 // The seed PR measured ~151 allocs per China/http trial; the pooled hot
 // path runs at ~61. The budget leaves headroom for cross-seed variance but
-// fails long before a regression to the unpooled numbers. It runs with
+// fails long before a regression to the unpooled numbers. A second leg
+// pins allocs and bytes of a trial run through RateStats (~48 objects,
+// ~7 KB with pooled generators). It runs with
 // metrics explicitly disabled: the obs layer's zero-cost-when-off guarantee
 // is part of what this tripwire enforces.
 func TestTrialAllocBudget(t *testing.T) {
@@ -121,4 +124,25 @@ func TestTrialAllocBudget(t *testing.T) {
 		t.Errorf("full trial allocates %.0f objects/op, budget is %d (seed baseline was ~151)",
 			allocs, budget)
 	}
+
+	// The RateStats leg also pins bytes: a trial run through the fold
+	// hands its generators back to the pool, so it pays for no seeding
+	// table. A fresh math/rand source is 5.4 KB, four of them ~21 KB a
+	// trial, so a generator leak or an unpooled stream breaks the budget.
+	cfg := TrialConfig(CountryChina, "http", st, 1)
+	cfg.Workers = 1
+	const trials = 200
+	RateStats(cfg, trials) // fill the generator pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RateStats(cfg, trials)
+	runtime.ReadMemStats(&after)
+	perAllocs := float64(after.Mallocs-before.Mallocs) / trials
+	perBytes := float64(after.TotalAlloc-before.TotalAlloc) / trials
+	const allocBudget, byteBudget = 55, 12 << 10
+	if perAllocs > allocBudget || perBytes > byteBudget {
+		t.Errorf("RateStats trial allocates %.1f objects and %.0f B, budget is %d objects and %d B",
+			perAllocs, perBytes, allocBudget, byteBudget)
+	}
+	t.Logf("RateStats trial: %.1f objects, %.0f B", perAllocs, perBytes)
 }

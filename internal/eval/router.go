@@ -1,11 +1,11 @@
 package eval
 
 import (
-	"math/rand"
 	"net/netip"
 	"sync"
 
 	"geneva/internal/core"
+	"geneva/internal/lazyrand"
 	"geneva/internal/selector"
 )
 
@@ -85,7 +85,7 @@ func DeployPortfolio(country string) (p selector.Portfolio, offset int64, ok boo
 func NewDeploymentRouter(seed int64) *core.Router {
 	r := core.NewRouter(nil)
 	for _, dr := range deployTable() {
-		r.Route(dr.prefix, dr.portfolio.Strategy(0), rand.New(rand.NewSource(seed+dr.offset)))
+		r.Route(dr.prefix, dr.portfolio.Strategy(0), lazyrand.New(seed+dr.offset))
 	}
 	return r
 }

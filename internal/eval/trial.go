@@ -12,6 +12,7 @@ import (
 	"geneva/internal/apps"
 	"geneva/internal/censor"
 	"geneva/internal/core"
+	"geneva/internal/lazyrand"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
 	"geneva/internal/tcpstack"
@@ -141,6 +142,10 @@ type Rig struct {
 	Net     *netsim.Network
 	Censor  CensorCounter
 	Session *apps.Session
+
+	// rngs are the rig's pooled generators, one per stream (nil for a
+	// stream the config leaves unused); release hands them back.
+	rngs [numStreams]*rand.Rand
 }
 
 // NewRig builds the sandbox for a config.
@@ -148,20 +153,20 @@ func NewRig(cfg Config) *Rig {
 	if cfg.ClientOS.Name == "" {
 		cfg.ClientOS = tcpstack.DefaultClient
 	}
-	seed := cfg.Seed
+	rig := &Rig{Session: cfg.Session}
 	clientAddr := cfg.ClientAddress
 	if !clientAddr.IsValid() {
 		clientAddr = ClientAddr
 	}
-	client := tcpstack.NewEndpoint(clientAddr, cfg.ClientOS, rand.New(rand.NewSource(seed+streamClient)))
-	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rand.New(rand.NewSource(seed+streamServer)))
+	client := tcpstack.NewEndpoint(clientAddr, cfg.ClientOS, rig.stream(cfg.Seed, streamClient))
+	server := tcpstack.NewEndpoint(ServerAddr, tcpstack.DefaultServer, rig.stream(cfg.Seed, streamServer))
 	server.NewServerApp = cfg.Session.ServerFactory()
 	server.Listen(cfg.Session.Port)
 	if cfg.Strategy != nil {
-		server.Outbound = core.NewEngine(cfg.Strategy, rand.New(rand.NewSource(seed+streamEngine))).Outbound
+		server.Outbound = core.NewEngine(cfg.Strategy, rig.stream(cfg.Seed, streamEngine)).Outbound
 	}
 
-	cen := NewCensor(cfg.Country, censor.Default(), rand.New(rand.NewSource(seed+streamCensor)))
+	cen := NewCensor(cfg.Country, censor.Default(), rig.stream(cfg.Seed, streamCensor))
 	n := netsim.New(client, server, cen)
 	// Recycling is safe here because every component in the rig — endpoints,
 	// censors, apps — copies what it keeps and never retains a delivered
@@ -174,7 +179,7 @@ func NewRig(cfg Config) *Rig {
 	if cfg.Impairments.Enabled() {
 		// A stream of its own keeps the impairment schedule independent of
 		// the ISN, engine, and censor streams.
-		n.SetImpairments(cfg.Impairments, rand.New(rand.NewSource(seed+streamImpairments)))
+		n.SetImpairments(cfg.Impairments, rig.stream(cfg.Seed, streamImpairments))
 		client.Retransmit = tcpstack.DefaultRetransmit
 		server.Retransmit = tcpstack.DefaultRetransmit
 	}
@@ -186,7 +191,27 @@ func NewRig(cfg Config) *Rig {
 	if cfg.ServerHook != nil {
 		cfg.ServerHook(server)
 	}
-	return &Rig{Client: client, Server: server, Net: n, Censor: cen, Session: cfg.Session}
+	rig.Client, rig.Server, rig.Net, rig.Censor = client, server, n, cen
+	return rig
+}
+
+// stream takes the rig's pooled generator for stream s of the trial seeded
+// seed.
+func (r *Rig) stream(seed int64, s int) *rand.Rand {
+	r.rngs[s] = lazyrand.Get(seed + int64(s))
+	return r.rngs[s]
+}
+
+// release hands the rig's generators back to the pool. Nothing may run on
+// the rig afterwards: its endpoints, engine, censor and network still hold
+// them.
+func (r *Rig) release() {
+	for i, g := range r.rngs {
+		if g != nil {
+			lazyrand.Put(g)
+			r.rngs[i] = nil
+		}
+	}
 }
 
 // Attempt runs one connection to completion (network quiet) and returns the
@@ -211,7 +236,8 @@ func (r *Rig) CensorEvents() int {
 
 // Run executes the trial: up to cfg.Tries attempts, retrying only when the
 // previous connection was torn down (the RFC 7766 client behaviour the
-// paper leans on for DNS success rates).
+// paper leans on for DNS success rates). The rig's generators are not
+// pooled again: Result.Rig stays usable for follow-on connections.
 func Run(cfg Config) Result { return NewRig(cfg).run(cfg.Tries) }
 
 // Retry is the one reconnect rule, shared by trials and the fleet: a client
@@ -287,6 +313,7 @@ const (
 	streamEngine      = 2 // the server's strategy engine
 	streamCensor      = 3
 	streamImpairments = 4 // loss, duplication, reordering, jitter
+	numStreams        = 5
 )
 
 // SeedSchedule is the manifest's record of the seed schedule rooted at base.
@@ -308,8 +335,9 @@ func SeedSchedule(base int64) obs.SeedSchedule {
 // returns the aggregated outcome counts. Trials share no state — every rig
 // is built from its own seed — so they run on a worker pool bounded by
 // cfg.Workers (0 = the process default; 1 runs them inline, in order). Each
-// trial keeps only its counts, so its rig is garbage as soon as it settles,
-// and the fold is a commutative sum, identical at any width.
+// trial keeps only its counts, so once it settles its generators go back to
+// the pool and the rest of its rig is garbage; the fold is a commutative
+// sum, identical at any width.
 func RateStats(cfg Config, trials int) RateResult { return rateStats(cfg, trials, trialStride, nil) }
 
 // rateStats is the one trial fold: trial i runs at cfg.Seed + i*stride, with
@@ -330,6 +358,7 @@ func rateStats(cfg Config, trials int, stride int64, edit func(r *Rig, seed int6
 			edit(rig, c.Seed)
 		}
 		res := rig.run(c.Tries)
+		rig.release()
 		per[i] = RateResult{Trials: 1, Attempts: res.Attempts, CensorEvents: res.CensorEvents}
 		if res.Success {
 			per[i].Succeeded = 1

@@ -48,6 +48,7 @@ import (
 	"geneva/internal/censor"
 	"geneva/internal/core"
 	"geneva/internal/eval"
+	"geneva/internal/lazyrand"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
 	"geneva/internal/selector"
@@ -599,13 +600,6 @@ func clientAddr(country string, slot int, unprotected bool) netip.Addr {
 	return netip.AddrFrom4(a)
 }
 
-// rngPool recycles rand.Rand instances across cells. Seeding a pooled
-// generator reinitializes its entire state, so a reseeded instance's stream
-// is identical to a freshly constructed one — this only exists because each
-// generator carries a ~5 KB state table whose initialization dominated cell
-// setup CPU before pooling.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
 // residualLedger maps a residually censored server ip:port to the longest
 // remaining window any cell of one country reported at the last wave
 // barrier.
@@ -689,11 +683,10 @@ type cell struct {
 	live       []inflight
 }
 
-// rng takes a pooled generator, seeds it, and remembers it for release at
-// cell finish.
+// rng takes a pooled generator seeded with seed and remembers it for
+// release at cell finish.
 func (c *cell) rng(seed int64) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
-	r.Seed(seed)
+	r := lazyrand.Get(seed)
 	c.rngs = append(c.rngs, r)
 	return r
 }
@@ -1103,7 +1096,7 @@ func (c *cell) finish() cellResult {
 	eval.ReleasePortfolioEngines(c.arms)
 	c.router, c.arms, c.selCell, c.selRng = nil, nil, nil, nil
 	for i, r := range c.rngs {
-		rngPool.Put(r)
+		lazyrand.Put(r)
 		c.rngs[i] = nil
 	}
 	c.rngs = nil

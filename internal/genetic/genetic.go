@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"geneva/internal/core"
+	"geneva/internal/lazyrand"
 )
 
 // parsimony is the per-node fitness penalty (bloat control): prefer smaller
@@ -117,7 +118,7 @@ func Evolve(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	rng := cfg.Rng
 	if rng == nil {
-		rng = rand.New(rand.NewSource(0))
+		rng = lazyrand.New(0)
 	}
 
 	memo := make(map[string]float64)

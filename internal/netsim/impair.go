@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"geneva/internal/lazyrand"
 )
 
 // Profile describes the impairment of one direction of the path. All
@@ -70,7 +72,7 @@ func (im Impairments) profile(dir Direction) Profile {
 // falls back to a fixed seed so behaviour stays reproducible.
 func (n *Network) SetImpairments(im Impairments, rng *rand.Rand) {
 	if rng == nil && im.Enabled() {
-		rng = rand.New(rand.NewSource(0))
+		rng = lazyrand.New(0)
 	}
 	n.impair = im
 	n.impairRNG = rng
