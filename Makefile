@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-evolve bench-trial bench-fleet bench-hotpath bench-gate bench-compare alloc-budget engine-determinism differential fleet-determinism selector-determinism metrics-determinism pool-clobberfree fuzz-seeds fuzz-smoke evaluate figures cli-smoke short cover race
+.PHONY: all build test vet lint bench bench-evolve bench-trial bench-fleet bench-fleet-gate bench-hotpath bench-gate bench-compare alloc-budget engine-determinism differential fleet-determinism selector-determinism metrics-determinism pool-clobberfree fuzz-seeds fuzz-smoke evaluate figures cli-smoke short cover race
 
 all: build vet test
 
@@ -66,10 +66,15 @@ bench-fleet:
 # rung, enough for allocs/op, which is deterministic) and compare against the
 # committed BENCH_fleet.json. Catches per-connection or per-exchange alloc
 # leaks in both the one-shot rungs and the keep-alive/reconnect longhorizon
-# rung. CI runs exactly this in the fleet bench smoke.
+# rung. It then checks that the fleet_scaling_8w_over_1w ratio lands in the
+# summary: its value is informational (core counts vary, so the speedup is
+# never gated), but the key going missing means the ladder rungs were
+# renamed or dropped. CI runs exactly this in the fleet bench smoke.
 bench-fleet-gate:
-	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -benchtime 1x -timeout 30m . | \
-		$(GO) run ./tools/benchjson -compare BENCH_fleet.json -compare-metrics $(GATE_METRICS)
+	$(GO) test -run '^$$' -bench BenchmarkFleet -benchmem -benchtime 1x -timeout 30m . | tee /tmp/bench_fleet_gate.txt
+	$(GO) run ./tools/benchjson -compare BENCH_fleet.json -compare-metrics $(GATE_METRICS) < /tmp/bench_fleet_gate.txt
+	$(GO) run ./tools/benchjson -set fleet < /tmp/bench_fleet_gate.txt > /tmp/bench_fleet_gate.json
+	@grep -q 'fleet_scaling_8w_over_1w' /tmp/bench_fleet_gate.json || { echo 'fleet_scaling_8w_over_1w missing from bench summary'; exit 1; }
 
 # The evaluation-engine determinism gate: the parallel, cached population
 # engine must produce the exact Result of an uncached serial reference (a

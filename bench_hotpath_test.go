@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/eval"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
@@ -31,7 +30,7 @@ import (
 func BenchmarkCensorProcess(b *testing.B) {
 	for _, def := range eval.Registry() {
 		b.Run(def.Country, func(b *testing.B) {
-			c := def.New(censor.Default(), rand.New(rand.NewSource(1)))
+			c := def.New(rand.New(rand.NewSource(1)))
 
 			// The trigger: HTTPS censors that ignore port 80 get a
 			// forbidden ClientHello; everyone else a forbidden GET.

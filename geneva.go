@@ -212,7 +212,7 @@ func Run(s Simulation) (Result, error) {
 	}
 	cfg := eval.TrialConfig(s.Country, s.Protocol, strategy, s.Seed)
 	cfg.Workers = s.Workers
-	cfg.Impairments = netsim.Symmetric(s.Impairments)
+	cfg.Impairments = s.Impairments
 	trials := s.Trials
 	if trials == 0 {
 		trials = 100

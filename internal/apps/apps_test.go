@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"geneva/internal/netsim"
+	"geneva/internal/packet"
 	"geneva/internal/tcpstack"
 )
 
@@ -86,9 +87,9 @@ func TestScriptCompleteExactly(t *testing.T) {
 
 func TestDNSEncodingRoundtrip(t *testing.T) {
 	q := EncodeDNSQuery("www.wikipedia.org")
-	name, ok := DNSQueryName(q)
+	name, ok := packet.ParseDNSQueryName(q)
 	if !ok || name != "www.wikipedia.org" {
-		t.Errorf("DNSQueryName = %q, %v", name, ok)
+		t.Errorf("ParseDNSQueryName = %q, %v", name, ok)
 	}
 	// Length prefix must match.
 	if int(q[0])<<8|int(q[1]) != len(q)-2 {
@@ -102,7 +103,7 @@ func TestDNSQueryNameFailsOpenOnFragments(t *testing.T) {
 	// open (no name) until the QNAME is fully present, and never panic.
 	nameEnd := 2 + 12 + len("www.wikipedia.org") + 2 // prefix + header + labels + root
 	for cut := 1; cut < len(q)-1; cut++ {
-		name, ok := DNSQueryName(q[:cut])
+		name, ok := packet.ParseDNSQueryName(q[:cut])
 		if ok && cut < nameEnd {
 			t.Errorf("name %q parsed from %d-byte fragment (QNAME ends at %d)", name, cut, nameEnd)
 		}
@@ -110,10 +111,10 @@ func TestDNSQueryNameFailsOpenOnFragments(t *testing.T) {
 			t.Errorf("complete QNAME at %d bytes not parsed", cut)
 		}
 	}
-	if _, ok := DNSQueryName(nil); ok {
+	if _, ok := packet.ParseDNSQueryName(nil); ok {
 		t.Error("parsed empty data")
 	}
-	if _, ok := DNSQueryName([]byte{0, 3, 1, 2, 3}); ok {
+	if _, ok := packet.ParseDNSQueryName([]byte{0, 3, 1, 2, 3}); ok {
 		t.Error("parsed garbage")
 	}
 }
@@ -130,20 +131,20 @@ func TestDNSResponseParses(t *testing.T) {
 
 func TestExtractSNI(t *testing.T) {
 	hello := EncodeClientHello("youtube.com")
-	sni, ok := ExtractSNI(hello)
+	sni, ok := packet.ParseTLSServerName(hello)
 	if !ok || sni != "youtube.com" {
-		t.Errorf("ExtractSNI = %q, %v", sni, ok)
+		t.Errorf("ParseTLSServerName = %q, %v", sni, ok)
 	}
 }
 
 func TestExtractSNIFailsOpenOnTruncation(t *testing.T) {
 	hello := EncodeClientHello("youtube.com")
 	for cut := 1; cut < len(hello); cut++ {
-		if sni, ok := ExtractSNI(hello[:cut]); ok {
+		if sni, ok := packet.ParseTLSServerName(hello[:cut]); ok {
 			t.Fatalf("SNI %q extracted from %d/%d-byte fragment", sni, cut, len(hello))
 		}
 	}
-	if _, ok := ExtractSNI([]byte{0x17, 0x03, 0x03, 0, 1, 0}); ok {
+	if _, ok := packet.ParseTLSServerName([]byte{0x17, 0x03, 0x03, 0, 1, 0}); ok {
 		t.Error("extracted SNI from application-data record")
 	}
 }
@@ -152,7 +153,7 @@ func TestExtractSNIProperty(t *testing.T) {
 	f := func(b []byte) bool {
 		// Must never panic and never claim success on random bytes that
 		// don't start like a handshake record.
-		sni, ok := ExtractSNI(b)
+		sni, ok := packet.ParseTLSServerName(b)
 		if ok && len(b) > 0 && b[0] != 0x16 {
 			return false
 		}
@@ -166,22 +167,22 @@ func TestExtractSNIProperty(t *testing.T) {
 
 func TestHTTPParsers(t *testing.T) {
 	req := []byte("GET /?q=ultrasurf HTTP/1.1\r\nHost: example.com\r\n\r\n")
-	target, ok := HTTPRequestTarget(req)
+	target, ok := packet.ParseHTTPRequestTarget(req)
 	if !ok || target != "/?q=ultrasurf" {
 		t.Errorf("target = %q, %v", target, ok)
 	}
-	host, ok := HTTPHostHeader(req)
+	host, ok := packet.ParseHTTPHostHeader(req)
 	if !ok || host != "example.com" {
 		t.Errorf("host = %q, %v", host, ok)
 	}
 	// Split requests must fail open.
-	if _, ok := HTTPRequestTarget(req[:9]); ok {
+	if _, ok := packet.ParseHTTPRequestTarget(req[:9]); ok {
 		t.Error("parsed target from fragment")
 	}
-	if _, ok := HTTPHostHeader([]byte("Host: exam")); ok {
+	if _, ok := packet.ParseHTTPHostHeader([]byte("Host: exam")); ok {
 		t.Error("parsed unterminated host")
 	}
-	if _, ok := HTTPRequestTarget([]byte("BREW /pot HTCPCP/1.0\r\n\r\n")); ok {
+	if _, ok := packet.ParseHTTPRequestTarget([]byte("BREW /pot HTCPCP/1.0\r\n\r\n")); ok {
 		t.Error("parsed non-HTTP method")
 	}
 }

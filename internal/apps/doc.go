@@ -10,7 +10,8 @@
 // Windows stack swallowing a SYN+ACK payload into the stream, or a censor
 // RST all register as failures without any protocol-specific checks.
 //
-// The package also exports the payload parsers the censor models use for
-// deep-packet inspection (DNS query names, HTTP request targets and Host
-// headers, TLS SNI, FTP and SMTP commands).
+// The package also exports the FTP and SMTP command parsers the censor
+// models use for deep-packet inspection; the DNS, HTTP and TLS field
+// parsers live in internal/packet (Parse*), where packet.Packet memoizes
+// them.
 package apps

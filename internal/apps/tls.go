@@ -2,8 +2,6 @@ package apps
 
 import (
 	"encoding/binary"
-
-	"geneva/internal/packet"
 )
 
 // tlsClientRandom is the fixed 32-byte ClientHello random (deterministic
@@ -75,14 +73,4 @@ func EncodeServerHello() []byte {
 	appData := []byte("simulated-tls-application-data")
 	rec = append(rec, 0x17, 0x03, 0x03, byte(len(appData)>>8), byte(len(appData)))
 	return append(rec, appData...)
-}
-
-// ExtractSNI parses a TLS record stream chunk and returns the server_name
-// from a ClientHello, if present and fully contained in data. Like the real
-// DPI boxes, it fails open (returns false) on truncation — which is why
-// segmenting the ClientHello defeats single-packet censors. The parser body
-// lives in internal/packet so packet.Packet can memoize it per lifecycle
-// (TLSServerName); this wrapper serves callers holding bare byte slices.
-func ExtractSNI(data []byte) (string, bool) {
-	return packet.ParseTLSServerName(data)
 }

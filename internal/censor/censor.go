@@ -1,5 +1,5 @@
 // Package censor provides the machinery shared by all the nation-state
-// censor models: blocklists, the expiring-window table behind residual
+// censor models: the one blocklist, the expiring-window table behind residual
 // censorship and blackholing (Windows), and the packet fabrication helpers
 // (injected RSTs, block pages, and redirects).
 //
@@ -64,47 +64,24 @@ type Blocklist struct {
 	Emails []string
 }
 
-// defaultBlocklist is built once: Default runs in every trial, and the
-// lists are read-only, so sharing the backing arrays keeps rig construction
-// off the allocator.
+// defaultBlocklist is built once: every censor match reads it, and the
+// lists are read-only, so sharing the backing arrays keeps matching off the
+// allocator.
 var defaultBlocklist = Blocklist{
 	Domains:  []string{"www.wikipedia.org", "youtube.com", "blocked.example"},
 	Keywords: []string{"ultrasurf", "falun"},
 	Emails:   []string{"tibetalk@yahoo.com.cn"},
 }
 
-// Default returns the blocklist used throughout the experiments, mirroring
-// the paper's triggers: the keyword "ultrasurf", the domains
+// Default returns the one blocklist every censor model matches against
+// (§4.2 fixes a single trigger list for all censors), mirroring the paper's
+// triggers: the keyword "ultrasurf", the domains
 // www.wikipedia.org (China HTTPS) and youtube.com (Iran HTTPS), a generic
 // blocked web host, and the censored mailbox tibetalk@yahoo.com.cn. The
 // returned value shares its backing arrays across calls; callers must not
 // mutate the lists in place (append-and-assign is fine).
 func Default() Blocklist {
 	return defaultBlocklist
-}
-
-// New builds a blocklist with every entry normalized (lowercased, trailing
-// dots and surrounding space stripped), so matching is case-insensitive no
-// matter how the operator wrote the list. Prefer this over a struct literal:
-// the Match methods also normalize entries defensively, but a pre-normalized
-// list keeps their fast path allocation-free.
-func New(domains, keywords, emails []string) Blocklist {
-	return Blocklist{
-		Domains:  normalizeAll(domains, normDomain),
-		Keywords: normalizeAll(keywords, strings.ToLower),
-		Emails:   normalizeAll(emails, normEmail),
-	}
-}
-
-func normalizeAll(in []string, norm func(string) string) []string {
-	if in == nil {
-		return nil
-	}
-	out := make([]string, len(in))
-	for i, s := range in {
-		out[i] = norm(s)
-	}
-	return out
 }
 
 func normDomain(d string) string {

@@ -60,22 +60,6 @@ func TestBlocklistMixedCaseEntries(t *testing.T) {
 	}
 }
 
-// TestBlocklistNormalize covers the construction-time path: New must
-// pre-lowercase entries so the per-packet Match fast path never
-// re-normalizes a cold string.
-func TestBlocklistNormalize(t *testing.T) {
-	bl := New([]string{"YouTube.COM."}, []string{"FALUN"}, []string{"X@Y.Z"})
-	for i, want := range []struct{ got, want string }{
-		{bl.Domains[0], "youtube.com"},
-		{bl.Keywords[0], "falun"},
-		{bl.Emails[0], "x@y.z"},
-	} {
-		if want.got != want.want {
-			t.Errorf("entry %d = %q, want %q", i, want.got, want.want)
-		}
-	}
-}
-
 // TestMatchDomainNoAlloc pins the hot-path guarantee: matching against an
 // already-normalized (Default) blocklist allocates nothing.
 func TestMatchDomainNoAlloc(t *testing.T) {

@@ -78,8 +78,7 @@ const maxFlows = 65536
 
 // Box is one of the GFW's per-protocol censorship engines.
 type Box struct {
-	P     Params
-	Block censor.Blocklist
+	P Params
 
 	rng *rand.Rand
 	m   *boxMetrics
@@ -111,12 +110,11 @@ type Box struct {
 // tables are lazy: single-connection trials use the inline TCB slot, and
 // only the box whose Params carry residual censorship (HTTP) ever opens a
 // residual window, so the common trial allocates neither.
-func NewBox(p Params, bl censor.Blocklist, rng *rand.Rand) *Box {
+func NewBox(p Params, rng *rand.Rand) *Box {
 	return &Box{
-		P:     p,
-		Block: bl,
-		rng:   rng,
-		m:     metricsFor(p.Protocol),
+		P:   p,
+		rng: rng,
+		m:   metricsFor(p.Protocol),
 	}
 }
 
@@ -513,14 +511,14 @@ func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
 	case "dns":
 		if usePkt {
 			if name, ok := pkt.DNSQueryName(); ok {
-				return b.Block.MatchDomain(name)
+				return censor.Default().MatchDomain(name)
 			}
 		} else if name, ok := packet.ParseDNSQueryName(stream); ok {
-			return b.Block.MatchDomain(name)
+			return censor.Default().MatchDomain(name)
 		}
 	case "ftp":
 		if f, ok := apps.FTPRetrTarget(stream); ok {
-			return b.Block.MatchKeyword(f)
+			return censor.Default().MatchKeyword(f)
 		}
 	case "http":
 		// The box's one quirk comes first: a forbidden Host header censors
@@ -528,26 +526,26 @@ func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
 		// pipelined in the segment or stream is checked (memoized view on
 		// the usePkt path).
 		if usePkt {
-			if host, ok := pkt.HTTPHostHeader(); ok && b.Block.MatchDomain(host) {
+			if host, ok := pkt.HTTPHostHeader(); ok && censor.Default().MatchDomain(host) {
 				return true
 			}
-			return pkt.MatchHTTPRequests(b.matchHTTPRequest)
+			return pkt.MatchHTTPRequests(matchHTTPRequest)
 		}
-		if host, ok := packet.ParseHTTPHostHeader(stream); ok && b.Block.MatchDomain(host) {
+		if host, ok := packet.ParseHTTPHostHeader(stream); ok && censor.Default().MatchDomain(host) {
 			return true
 		}
-		return packet.VisitHTTPRequests(stream, b.matchHTTPRequest)
+		return packet.VisitHTTPRequests(stream, matchHTTPRequest)
 	case "https":
 		if usePkt {
 			if sni, ok := pkt.TLSServerName(); ok {
-				return b.Block.MatchDomain(sni)
+				return censor.Default().MatchDomain(sni)
 			}
 		} else if sni, ok := packet.ParseTLSServerName(stream); ok {
-			return b.Block.MatchDomain(sni)
+			return censor.Default().MatchDomain(sni)
 		}
 	case "smtp":
 		if rcpt, ok := apps.SMTPRcptTarget(stream); ok {
-			return b.Block.MatchEmail(rcpt)
+			return censor.Default().MatchEmail(rcpt)
 		}
 	}
 	return false
@@ -555,8 +553,8 @@ func (b *Box) matches(pkt *packet.Packet, stream []byte, usePkt bool) bool {
 
 // matchHTTPRequest is the per-request HTTP predicate: a forbidden keyword
 // in the request target or a forbidden Host.
-func (b *Box) matchHTTPRequest(target, host string, hok bool) bool {
-	return b.Block.MatchKeyword(target) || (hok && b.Block.MatchDomain(host))
+func matchHTTPRequest(target, host string, hok bool) bool {
+	return censor.Default().MatchKeyword(target) || (hok && censor.Default().MatchDomain(host))
 }
 
 // censorVerdict fabricates the GFW's tear-down: RST+ACK triples to the

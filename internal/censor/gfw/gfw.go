@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -22,10 +21,10 @@ type GFW struct {
 
 // New builds the GFW with the calibrated China parameters. All boxes share
 // one RNG stream so a trial is reproducible from a single seed.
-func New(bl censor.Blocklist, rng *rand.Rand) *GFW {
+func New(rng *rand.Rand) *GFW {
 	g := &GFW{Boxes: make([]*Box, 0, len(chinaParams))}
 	for _, p := range ChinaParams() {
-		g.Boxes = append(g.Boxes, NewBox(p, bl, rng))
+		g.Boxes = append(g.Boxes, NewBox(p, rng))
 	}
 	return g
 }

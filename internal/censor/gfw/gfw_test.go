@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/obs"
 	"geneva/internal/packet"
@@ -20,7 +19,7 @@ var (
 // deterministic builds an HTTP box with every probabilistic trigger forced
 // on or off, so unit tests exercise mechanics, not sampling.
 func deterministic(p Params) *Box {
-	return NewBox(p, censor.Default(), rand.New(rand.NewSource(1)))
+	return NewBox(p, rand.New(rand.NewSource(1)))
 }
 
 func httpParamsAllOn() Params {
@@ -514,7 +513,7 @@ func TestResidualMapBoundedGrowth(t *testing.T) {
 }
 
 func TestCompositeGFWFansOutAndNeverDrops(t *testing.T) {
-	g := New(censor.Default(), rand.New(rand.NewSource(3)))
+	g := New(rand.New(rand.NewSource(3)))
 	if len(g.Boxes) != 5 {
 		t.Fatalf("GFW has %d boxes, want 5", len(g.Boxes))
 	}

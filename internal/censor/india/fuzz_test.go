@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -26,7 +25,7 @@ func FuzzIndiaProcess(f *testing.F) {
 	f.Add([]byte{}, uint16(443))
 	f.Fuzz(func(t *testing.T, payload []byte, port uint16) {
 		for _, params := range ISPs() {
-			in := New(params, censor.Default(), nil)
+			in := New(params)
 			p := packet.New(cli, srv, 40000, port)
 			p.TCP.Flags = packet.FlagPSH | packet.FlagACK
 			p.TCP.Seq = 1000

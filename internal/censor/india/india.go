@@ -27,7 +27,6 @@
 package india
 
 import (
-	"math/rand"
 	"time"
 
 	"geneva/internal/censor"
@@ -108,8 +107,7 @@ func ISPs() []Params { return []Params{Airtel(), Jio(), Vodafone()} }
 
 // India is one ISP's middlebox.
 type India struct {
-	Block censor.Blocklist
-	P     Params
+	P Params
 	// Censored counts censorship events.
 	Censored int
 
@@ -119,15 +117,14 @@ type India struct {
 	blackholes censor.Windows[packet.Flow]
 }
 
-// New builds the ISP middlebox for params. The rng is unused (every Indian
-// ISP model is deterministic) but accepted for interface symmetry with the
-// other censors.
-func New(p Params, bl censor.Blocklist, _ *rand.Rand) *India {
-	return &India{Block: bl, P: p, m: metricsFor(p.ISP)}
+// New builds the ISP middlebox for params. Every Indian ISP model is
+// deterministic, so it draws no randomness.
+func New(p Params) *India {
+	return &India{P: p, m: metricsFor(p.ISP)}
 }
 
 // NewAirtel builds the Airtel sibling (the original §5.2 model).
-func NewAirtel(bl censor.Blocklist, rng *rand.Rand) *India { return New(Airtel(), bl, rng) }
+func NewAirtel() *India { return New(Airtel()) }
 
 // Name implements netsim.Middlebox.
 func (in *India) Name() string { return "India-" + in.P.ISP }
@@ -163,7 +160,7 @@ func (in *India) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		var host string
 		if pkt.MatchHTTPRequests(func(_, h string, hok bool) bool {
 			host = h
-			return hok && in.Block.MatchDomain(h)
+			return hok && censor.Default().MatchDomain(h)
 		}) {
 			action = in.P.HTTP
 			note = "blocked Host " + host
@@ -173,7 +170,7 @@ func (in *India) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 			break
 		}
 		// Same single-packet anchor: a segmented ClientHello never parses.
-		if sni, ok := pkt.TLSServerName(); ok && in.Block.MatchDomain(sni) {
+		if sni, ok := pkt.TLSServerName(); ok && censor.Default().MatchDomain(sni) {
 			action = in.P.SNI
 			note = "blocked SNI " + sni
 		}

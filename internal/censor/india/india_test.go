@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -38,7 +37,7 @@ func forbiddenHello(port uint16) *packet.Packet {
 // --- Airtel: byte-identical to the original single-ISP model ---
 
 func TestAirtelInjectsBlockPageAndRst(t *testing.T) {
-	a := NewAirtel(censor.Default(), nil)
+	a := NewAirtel()
 	v := a.Process(forbiddenReq(80), netsim.ToServer, 0)
 	if v.Drop {
 		t.Error("Airtel is on-path; it cannot drop")
@@ -66,14 +65,14 @@ func TestAirtelInjectsBlockPageAndRst(t *testing.T) {
 }
 
 func TestAirtelOnlyDefaultPort(t *testing.T) {
-	a := NewAirtel(censor.Default(), nil)
+	a := NewAirtel()
 	if v := a.Process(forbiddenReq(8080), netsim.ToServer, 0); len(v.InjectToClient) != 0 {
 		t.Error("censored on a non-default port")
 	}
 }
 
 func TestAirtelStatelessNoHandshakeNeeded(t *testing.T) {
-	a := NewAirtel(censor.Default(), nil)
+	a := NewAirtel()
 	// First packet ever seen is the forbidden request.
 	if v := a.Process(forbiddenReq(80), netsim.ToServer, 0); len(v.InjectToClient) == 0 {
 		t.Error("stateless censor required a handshake")
@@ -81,7 +80,7 @@ func TestAirtelStatelessNoHandshakeNeeded(t *testing.T) {
 }
 
 func TestAirtelIgnoresSNI(t *testing.T) {
-	a := NewAirtel(censor.Default(), nil)
+	a := NewAirtel()
 	if v := a.Process(forbiddenHello(443), netsim.ToServer, 0); len(v.InjectToClient) != 0 || v.Drop {
 		t.Error("Airtel censored HTTPS; it filters HTTP only")
 	}
@@ -89,7 +88,7 @@ func TestAirtelIgnoresSNI(t *testing.T) {
 
 func TestSegmentedRequestPassesEverySibling(t *testing.T) {
 	for _, p := range ISPs() {
-		a := New(p, censor.Default(), nil)
+		a := New(p)
 		full := forbiddenReq(80).TCP.Payload
 		if p.SNI != ActionNone {
 			full = forbiddenHello(443).TCP.Payload
@@ -116,7 +115,7 @@ func TestSegmentedRequestPassesEverySibling(t *testing.T) {
 
 func TestServerDirectionIgnoredEverySibling(t *testing.T) {
 	for _, params := range ISPs() {
-		a := New(params, censor.Default(), nil)
+		a := New(params)
 		p := forbiddenReq(80)
 		p.IP.Src, p.IP.Dst = srv, cli
 		p.TCP.SrcPort, p.TCP.DstPort = 80, 40000
@@ -127,7 +126,7 @@ func TestServerDirectionIgnoredEverySibling(t *testing.T) {
 }
 
 func TestBenignHostPasses(t *testing.T) {
-	a := NewAirtel(censor.Default(), nil)
+	a := NewAirtel()
 	p := forbiddenReq(80)
 	p.TCP.Payload = []byte("GET / HTTP/1.1\r\nHost: allowed.example\r\n\r\n")
 	if v := a.Process(p, netsim.ToServer, 0); len(v.InjectToClient) != 0 {
@@ -138,7 +137,7 @@ func TestBenignHostPasses(t *testing.T) {
 // --- Jio: SNI-triggered blackholing ---
 
 func TestJioBlackholesForbiddenSNI(t *testing.T) {
-	j := New(Jio(), censor.Default(), nil)
+	j := New(Jio())
 	hello := forbiddenHello(443)
 	v := j.Process(hello, netsim.ToServer, 0)
 	if !v.Drop {
@@ -165,14 +164,14 @@ func TestJioBlackholesForbiddenSNI(t *testing.T) {
 }
 
 func TestJioIgnoresHTTP(t *testing.T) {
-	j := New(Jio(), censor.Default(), nil)
+	j := New(Jio())
 	if v := j.Process(forbiddenReq(80), netsim.ToServer, 0); v.Drop || len(v.InjectToClient) != 0 {
 		t.Error("Jio censored plain HTTP; it filters SNI only")
 	}
 }
 
 func TestJioOnlyDefaultPort(t *testing.T) {
-	j := New(Jio(), censor.Default(), nil)
+	j := New(Jio())
 	if v := j.Process(forbiddenHello(8443), netsim.ToServer, 0); v.Drop {
 		t.Error("censored on a non-default port")
 	}
@@ -181,7 +180,7 @@ func TestJioOnlyDefaultPort(t *testing.T) {
 // --- Vodafone: injected 302 redirect ---
 
 func TestVodafoneInjects302(t *testing.T) {
-	vf := New(Vodafone(), censor.Default(), nil)
+	vf := New(Vodafone())
 	v := vf.Process(forbiddenReq(80), netsim.ToServer, 0)
 	if v.Drop {
 		t.Error("Vodafone is on-path; it cannot drop")
@@ -205,7 +204,7 @@ func TestVodafoneInjects302(t *testing.T) {
 }
 
 func TestVodafoneIgnoresSNI(t *testing.T) {
-	vf := New(Vodafone(), censor.Default(), nil)
+	vf := New(Vodafone())
 	if v := vf.Process(forbiddenHello(443), netsim.ToServer, 0); v.Drop || len(v.InjectToClient) != 0 {
 		t.Error("Vodafone censored HTTPS; it filters HTTP only")
 	}
@@ -221,7 +220,7 @@ func TestPipelinedForbiddenRequestCensored(t *testing.T) {
 		if params.HTTP == ActionNone {
 			continue // Jio filters SNI only
 		}
-		a := New(params, censor.Default(), nil)
+		a := New(params)
 		p := forbiddenReq(80)
 		p.TCP.Payload = []byte(pipelined)
 		v := a.Process(p, netsim.ToServer, 0)
@@ -239,7 +238,7 @@ func TestPipelinedForbiddenRequestCensored(t *testing.T) {
 // start+window.
 func TestJioBlackholeExpiryBoundary(t *testing.T) {
 	const start = 5 * time.Second
-	j := New(Jio(), censor.Default(), nil)
+	j := New(Jio())
 	if v := j.Process(forbiddenHello(443), netsim.ToServer, start); !v.Drop {
 		t.Fatal("forbidden ClientHello not blackholed")
 	}
@@ -258,7 +257,7 @@ func TestJioBlackholeExpiryBoundary(t *testing.T) {
 // beyond the window, and checks the table does not keep the expired
 // entries of flows that never send again.
 func TestJioBlackholeTableBoundedGrowth(t *testing.T) {
-	j := New(Jio(), censor.Default(), nil)
+	j := New(Jio())
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
 		p := forbiddenHello(443)

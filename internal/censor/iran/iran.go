@@ -12,7 +12,6 @@
 package iran
 
 import (
-	"math/rand"
 	"time"
 
 	"geneva/internal/censor"
@@ -31,7 +30,6 @@ const blackholeDuration = time.Minute
 
 // Iran is the Iranian middlebox.
 type Iran struct {
-	Block censor.Blocklist
 	// Censored counts censorship events (new blackholes).
 	Censored int
 
@@ -39,9 +37,9 @@ type Iran struct {
 	blackholes censor.Windows[packet.Flow]
 }
 
-// New builds the censor (deterministic; rng accepted for symmetry).
-func New(bl censor.Blocklist, _ *rand.Rand) *Iran {
-	return &Iran{Block: bl}
+// New builds the censor (deterministic: it draws no randomness).
+func New() *Iran {
+	return &Iran{}
 }
 
 // Name implements netsim.Middlebox.
@@ -67,10 +65,10 @@ func (ir *Iran) Process(pkt *packet.Packet, dir netsim.Direction, now time.Durat
 		// mid-request segment is not recognized as HTTP (Strategy 8).
 		// Every request pipelined in the packet gets its Host matched.
 		matched = pkt.MatchHTTPRequests(func(_, host string, hok bool) bool {
-			return hok && ir.Block.MatchDomain(host)
+			return hok && censor.Default().MatchDomain(host)
 		})
 	case 443:
-		if sni, ok := pkt.TLSServerName(); ok && ir.Block.MatchDomain(sni) {
+		if sni, ok := pkt.TLSServerName(); ok && censor.Default().MatchDomain(sni) {
 			matched = true
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -24,7 +23,7 @@ func httpReq(host string, port uint16) *packet.Packet {
 }
 
 func TestBlackholesForbiddenHTTP(t *testing.T) {
-	ir := New(censor.Default(), nil)
+	ir := New()
 	v := ir.Process(httpReq("blocked.example", 80), netsim.ToServer, 0)
 	if !v.Drop {
 		t.Fatal("offending packet not dropped")
@@ -47,7 +46,7 @@ func TestBlackholesForbiddenHTTP(t *testing.T) {
 }
 
 func TestBlackholesForbiddenSNI(t *testing.T) {
-	ir := New(censor.Default(), nil)
+	ir := New()
 	p := packet.New(cli, srv, 40000, 443)
 	p.TCP.Flags = packet.FlagPSH | packet.FlagACK
 	p.TCP.Payload = apps.EncodeClientHello("youtube.com")
@@ -57,7 +56,7 @@ func TestBlackholesForbiddenSNI(t *testing.T) {
 }
 
 func TestSegmentedClientHelloPasses(t *testing.T) {
-	ir := New(censor.Default(), nil)
+	ir := New()
 	hello := apps.EncodeClientHello("youtube.com")
 	for _, cut := range []int{10, 40, len(hello) - 5} {
 		p1 := packet.New(cli, srv, 41000, 443)
@@ -76,7 +75,7 @@ func TestSegmentedClientHelloPasses(t *testing.T) {
 }
 
 func TestNonDefaultPortsUncensored(t *testing.T) {
-	ir := New(censor.Default(), nil)
+	ir := New()
 	if v := ir.Process(httpReq("blocked.example", 8080), netsim.ToServer, 0); v.Drop {
 		t.Error("censored on a non-default port")
 	}
@@ -89,7 +88,7 @@ func TestNonDefaultPortsUncensored(t *testing.T) {
 }
 
 func TestServerDirectionUntouched(t *testing.T) {
-	ir := New(censor.Default(), nil)
+	ir := New()
 	ir.Process(httpReq("blocked.example", 80), netsim.ToServer, 0) // blackhole the flow
 	resp := packet.New(srv, cli, 80, 40000)
 	resp.TCP.Flags = packet.FlagPSH | packet.FlagACK
@@ -103,7 +102,7 @@ func TestServerDirectionUntouched(t *testing.T) {
 // in a single packet used to pass — the DPI only ever matched the Host of
 // the first request in a payload.
 func TestPipelinedForbiddenRequestBlackholed(t *testing.T) {
-	ir := New(censor.Default(), nil)
+	ir := New()
 	p := packet.New(cli, srv, 40000, 80)
 	p.TCP.Flags = packet.FlagPSH | packet.FlagACK
 	p.TCP.Seq = 1000
@@ -123,7 +122,7 @@ func TestPipelinedForbiddenRequestBlackholed(t *testing.T) {
 // start+window (unlike the residual windows, which include their expiry).
 func TestBlackholeExpiryBoundary(t *testing.T) {
 	const start = 5 * time.Second
-	ir := New(censor.Default(), nil)
+	ir := New()
 	if v := ir.Process(httpReq("blocked.example", 80), netsim.ToServer, start); !v.Drop {
 		t.Fatal("offending packet not blackholed")
 	}
@@ -140,7 +139,7 @@ func TestBlackholeExpiryBoundary(t *testing.T) {
 // beyond the window, and checks the table does not keep the expired
 // entries of flows that never send again.
 func TestBlackholeTableBoundedGrowth(t *testing.T) {
-	ir := New(censor.Default(), nil)
+	ir := New()
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
 		p := httpReq("blocked.example", 80)

@@ -25,7 +25,6 @@
 package kazakh
 
 import (
-	"math/rand"
 	"regexp"
 	"time"
 
@@ -61,7 +60,6 @@ type flowState struct {
 
 // Kazakh is the Kazakhstan middlebox.
 type Kazakh struct {
-	Block censor.Blocklist
 	// Censored counts block-page injections against real clients.
 	Censored int
 	// ProbeResponses counts censorship responses elicited by
@@ -71,9 +69,9 @@ type Kazakh struct {
 	flows map[packet.Flow]*flowState
 }
 
-// New builds the censor (deterministic; rng accepted for symmetry).
-func New(bl censor.Blocklist, _ *rand.Rand) *Kazakh {
-	return &Kazakh{Block: bl, flows: make(map[packet.Flow]*flowState)}
+// New builds the censor (deterministic: it draws no randomness).
+func New() *Kazakh {
+	return &Kazakh{flows: make(map[packet.Flow]*flowState)}
 }
 
 // Name implements netsim.Middlebox.
@@ -178,7 +176,7 @@ func (k *Kazakh) Process(pkt *packet.Packet, dir netsim.Direction, now time.Dura
 		var host string
 		if pkt.MatchHTTPRequests(func(_, h string, hok bool) bool {
 			host = h
-			return hok && k.Block.MatchDomain(h)
+			return hok && censor.Default().MatchDomain(h)
 		}) {
 			// Censor: hijack the flow and inject the block page.
 			k.Censored++
@@ -208,17 +206,17 @@ func (k *Kazakh) processServerRequest(st *flowState, payload []byte, pkt *packet
 	// view answers; a replayed earlier request is parsed directly.
 	forbidden := false
 	if usePkt {
-		if host, ok := pkt.HTTPHostHeader(); ok && k.Block.MatchDomain(host) {
+		if host, ok := pkt.HTTPHostHeader(); ok && censor.Default().MatchDomain(host) {
 			forbidden = true
 		}
-		if target, ok := pkt.HTTPRequestTarget(); ok && k.Block.MatchKeyword(target) {
+		if target, ok := pkt.HTTPRequestTarget(); ok && censor.Default().MatchKeyword(target) {
 			forbidden = true
 		}
 	} else {
-		if host, ok := packet.ParseHTTPHostHeader(payload); ok && k.Block.MatchDomain(host) {
+		if host, ok := packet.ParseHTTPHostHeader(payload); ok && censor.Default().MatchDomain(host) {
 			forbidden = true
 		}
-		if target, ok := packet.ParseHTTPRequestTarget(payload); ok && k.Block.MatchKeyword(target) {
+		if target, ok := packet.ParseHTTPRequestTarget(payload); ok && censor.Default().MatchKeyword(target) {
 			forbidden = true
 		}
 	}

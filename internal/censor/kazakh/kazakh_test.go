@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -51,7 +50,7 @@ func feed(k *Kazakh, at time.Duration, pkts ...*packet.Packet) []netsim.Verdict 
 }
 
 func TestHijacksForbiddenRequest(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	vs := feed(k, 0,
 		cliPkt(sy, ""), srvPkt(sa, ""), cliPkt(ak, ""),
 		cliPkt(pa, forbidden))
@@ -75,7 +74,7 @@ func TestHijacksForbiddenRequest(t *testing.T) {
 }
 
 func TestTriplePayloadRunIgnoresConnection(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	feed(k, 0,
 		cliPkt(sy, ""),
 		srvPkt(sa, "x"), srvPkt(sa, "x"), srvPkt(sa, "x"),
@@ -86,7 +85,7 @@ func TestTriplePayloadRunIgnoresConnection(t *testing.T) {
 }
 
 func TestEmptySynAckBreaksTheRun(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	feed(k, 0,
 		cliPkt(sy, ""),
 		srvPkt(sa, "x"), srvPkt(sa, "x"),
@@ -99,7 +98,7 @@ func TestEmptySynAckBreaksTheRun(t *testing.T) {
 }
 
 func TestDoubleBenignGetConfusesRoles(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	feed(k, 0,
 		cliPkt(sy, ""),
 		srvPkt(sa, "GET / HTTP1."), srvPkt(sa, "GET / HTTP1."),
@@ -113,7 +112,7 @@ func TestDoubleBenignGetConfusesRoles(t *testing.T) {
 }
 
 func TestSingleGetDoesNotConfuse(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	feed(k, 0,
 		cliPkt(sy, ""),
 		srvPkt(sa, "GET / HTTP1."), srvPkt(sa, ""),
@@ -124,7 +123,7 @@ func TestSingleGetDoesNotConfuse(t *testing.T) {
 }
 
 func TestTwoForbiddenGetsElicitProbeResponse(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	vs := feed(k, 0,
 		cliPkt(sy, ""),
 		srvPkt(sa, forbidden), srvPkt(sa, forbidden))
@@ -137,7 +136,7 @@ func TestTwoForbiddenGetsElicitProbeResponse(t *testing.T) {
 }
 
 func TestForbiddenThenBenignNotCensored(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	feed(k, 0,
 		cliPkt(sy, ""),
 		srvPkt(sa, forbidden),
@@ -149,7 +148,7 @@ func TestForbiddenThenBenignNotCensored(t *testing.T) {
 
 func TestAbnormalFlagsIgnoreConnection(t *testing.T) {
 	for _, flags := range []uint8{0, packet.FlagPSH, packet.FlagURG, packet.FlagPSH | packet.FlagURG} {
-		k := New(censor.Default(), nil)
+		k := New()
 		feed(k, 0,
 			cliPkt(sy, ""),
 			srvPkt(flags, ""), srvPkt(sa, ""),
@@ -163,7 +162,7 @@ func TestAbnormalFlagsIgnoreConnection(t *testing.T) {
 
 func TestNormalFlagVariantsStillCensored(t *testing.T) {
 	for _, flags := range []uint8{packet.FlagACK, packet.FlagFIN, packet.FlagRST | packet.FlagACK} {
-		k := New(censor.Default(), nil)
+		k := New()
 		feed(k, 0,
 			cliPkt(sy, ""),
 			srvPkt(flags, ""), srvPkt(sa, ""),
@@ -176,7 +175,7 @@ func TestNormalFlagVariantsStillCensored(t *testing.T) {
 }
 
 func TestSimOpenSwapsRolesButClientStillCensored(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	feed(k, 0,
 		cliPkt(sy, ""),
 		srvPkt(sy, ""), // simultaneous open
@@ -188,7 +187,7 @@ func TestSimOpenSwapsRolesButClientStillCensored(t *testing.T) {
 	}
 	_ = vs
 	// ...and the real client is still censored on a fresh flow shape.
-	k2 := New(censor.Default(), nil)
+	k2 := New()
 	feed(k2, 0, cliPkt(sy, ""), srvPkt(sy, ""), cliPkt(sa, ""), srvPkt(ak, ""))
 	if v := feed(k2, 0, cliPkt(pa, forbidden))[0]; !v.Drop {
 		t.Error("simultaneous open alone must not defeat the Kazakhstan censor")
@@ -196,7 +195,7 @@ func TestSimOpenSwapsRolesButClientStillCensored(t *testing.T) {
 }
 
 func TestNonHTTPPortIgnored(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	p := packet.New(cli, srv, 40000, 8080)
 	p.TCP.Flags = pa
 	p.TCP.Payload = []byte(forbidden)
@@ -206,7 +205,7 @@ func TestNonHTTPPortIgnored(t *testing.T) {
 }
 
 func TestSegmentedRequestPasses(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	feed(k, 0, cliPkt(sy, ""), srvPkt(sa, ""), cliPkt(ak, ""))
 	if v := feed(k, 0, cliPkt(pa, forbidden[:10]))[0]; v.Drop {
 		t.Error("first segment censored")
@@ -220,7 +219,7 @@ func TestSegmentedRequestPasses(t *testing.T) {
 // in a single packet used to pass the MITM — it only ever matched the Host
 // of the first request in a payload.
 func TestPipelinedForbiddenRequestHijacked(t *testing.T) {
-	k := New(censor.Default(), nil)
+	k := New()
 	const pipelined = "GET /index.html HTTP/1.1\r\nHost: example.com\r\nAccept: */*\r\n\r\n" + forbidden
 	vs := feed(k, 0,
 		cliPkt(sy, ""), srvPkt(sa, ""), cliPkt(ak, ""),

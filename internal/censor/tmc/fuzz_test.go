@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -25,7 +24,7 @@ func FuzzTMCProcess(f *testing.F) {
 	f.Add(apps.EncodeDNSQuery("www.wikipedia.org"), uint16(5353), true)
 	f.Add([]byte{}, uint16(443), true)
 	f.Fuzz(func(t *testing.T, payload []byte, port uint16, toServer bool) {
-		c := New(censor.Default(), nil)
+		c := New()
 		var p *packet.Packet
 		dir := netsim.ToClient
 		if toServer {

@@ -24,7 +24,6 @@
 package tmc
 
 import (
-	"math/rand"
 	"net/netip"
 	"time"
 
@@ -46,7 +45,6 @@ var bogusAddr = [4]byte{127, 0, 0, 1}
 
 // TMC is the Turkmenistan censor middlebox.
 type TMC struct {
-	Block censor.Blocklist
 	// Censored counts censorship events.
 	Censored int
 
@@ -55,10 +53,9 @@ type TMC struct {
 	residual censor.Windows[netip.AddrPort]
 }
 
-// New builds the TMC. The rng is unused (the model is deterministic) but
-// accepted for constructor symmetry with the other censors.
-func New(bl censor.Blocklist, _ *rand.Rand) *TMC {
-	return &TMC{Block: bl}
+// New builds the TMC (deterministic: it draws no randomness).
+func New() *TMC {
+	return &TMC{}
 }
 
 // Name implements netsim.Middlebox.
@@ -121,7 +118,7 @@ func (c *TMC) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 			break
 		}
 		name, ok := pkt.DNSQueryName()
-		if !ok || !c.Block.MatchDomain(name) {
+		if !ok || !censor.Default().MatchDomain(name) {
 			break
 		}
 		c.Censored++
@@ -150,7 +147,7 @@ func (c *TMC) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 		var host string
 		if !pkt.MatchHTTPRequests(func(_, h string, hok bool) bool {
 			host = h
-			return hok && c.Block.MatchDomain(h)
+			return hok && censor.Default().MatchDomain(h)
 		}) {
 			break
 		}
@@ -161,7 +158,7 @@ func (c *TMC) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duratio
 	case 443:
 		// Single-packet SNI engine, run in both directions.
 		sni, ok := pkt.TLSServerName()
-		if !ok || !c.Block.MatchDomain(sni) {
+		if !ok || !censor.Default().MatchDomain(sni) {
 			break
 		}
 		c.Censored++

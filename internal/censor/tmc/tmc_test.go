@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -40,7 +39,7 @@ func mirrored(port uint16, payload []byte) *packet.Packet {
 }
 
 func TestForgedDNSResponse(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	q := trigger(53, apps.EncodeDNSQuery("www.wikipedia.org"))
 	v := c.Process(q, netsim.ToServer, 0)
 	if v.Drop {
@@ -68,7 +67,7 @@ func TestForgedDNSResponse(t *testing.T) {
 }
 
 func TestRealDNSResponseDoesNotRetrigger(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	// The real server response carries the forbidden name in its question
 	// section; the QR bit must keep the engine from re-triggering on it.
 	resp := mirrored(53, apps.EncodeDNSResponse("www.wikipedia.org", [4]byte{93, 184, 216, 34}))
@@ -78,7 +77,7 @@ func TestRealDNSResponseDoesNotRetrigger(t *testing.T) {
 }
 
 func TestHTTPBidirectionalTeardown(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	req := trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"))
 	v := c.Process(req, netsim.ToServer, 0)
 	if v.Drop {
@@ -119,8 +118,8 @@ func TestCrossDirectionMirror(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fwd := New(censor.Default(), nil).Process(trigger(tc.port, tc.payload), netsim.ToServer, 0)
-			rev := New(censor.Default(), nil).Process(mirrored(tc.port, tc.payload), netsim.ToClient, 0)
+			fwd := New().Process(trigger(tc.port, tc.payload), netsim.ToServer, 0)
+			rev := New().Process(mirrored(tc.port, tc.payload), netsim.ToClient, 0)
 			if fwd.Note != rev.Note {
 				t.Errorf("notes differ: %q vs %q", fwd.Note, rev.Note)
 			}
@@ -145,7 +144,7 @@ func TestCrossDirectionMirror(t *testing.T) {
 }
 
 func TestResidualCensorship(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	c.Process(trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")), netsim.ToServer, 0)
 
 	// A new connection's handshake ACK to the tainted server is torn down
@@ -180,7 +179,7 @@ func TestSegmentedTriggersPass(t *testing.T) {
 		443: apps.EncodeClientHello("www.wikipedia.org"),
 	}
 	for port, full := range payloads {
-		c := New(censor.Default(), nil)
+		c := New()
 		for _, cut := range []int{4, 10} {
 			seg1 := trigger(port, full[:cut])
 			seg2 := trigger(port, full[cut:])
@@ -196,7 +195,7 @@ func TestSegmentedTriggersPass(t *testing.T) {
 }
 
 func TestBenignTrafficPasses(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	cases := []*packet.Packet{
 		trigger(53, apps.EncodeDNSQuery("allowed.example")),
 		trigger(80, []byte("GET / HTTP/1.1\r\nHost: allowed.example\r\n\r\n")),
@@ -214,7 +213,7 @@ func TestBenignTrafficPasses(t *testing.T) {
 }
 
 func TestResidualCarrierMaxMerge(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	server := netip.AddrPortFrom(srv, 80)
 	c.SeedResidual(server, 40*time.Second)
 	c.SeedResidual(server, 20*time.Second) // shorter: must lose
@@ -240,7 +239,7 @@ func TestResidualCarrierMaxMerge(t *testing.T) {
 // in a single packet used to pass the HTTP engine — it only ever matched
 // the Host of the first request in a payload.
 func TestPipelinedForbiddenRequestTornDown(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	pipelined := []byte("GET /index.html HTTP/1.1\r\nHost: example.com\r\nAccept: */*\r\n\r\n" +
 		"GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")
 	v := c.Process(trigger(80, pipelined), netsim.ToServer, 0)
@@ -259,7 +258,7 @@ func TestPipelinedForbiddenRequestTornDown(t *testing.T) {
 // fresh connection's ACK at exactly taint+ResidualWindow is still torn
 // down, and the first instant past it passes.
 func TestResidualExpiryBoundary(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	c.Process(trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")), netsim.ToServer, 0)
 	ack := packet.New(cli, srv, 40001, 80)
 	ack.TCP.Flags = packet.FlagACK
@@ -275,7 +274,7 @@ func TestResidualExpiryBoundary(t *testing.T) {
 // server whose window is already longer (seeded from the fleet ledger)
 // keeps the longer expiry, where the GFW's re-open overwrites it.
 func TestTaintNeverShortens(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	c.SeedResidual(netip.AddrPortFrom(srv, 80), 200*time.Second)
 	c.Process(trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n")), netsim.ToServer, 10*time.Second)
 	ack := packet.New(cli, srv, 40001, 80)
@@ -289,7 +288,7 @@ func TestTaintNeverShortens(t *testing.T) {
 // beyond the residual window, and checks the table does not keep the
 // expired windows of servers no client revisits.
 func TestResidualTableBoundedGrowth(t *testing.T) {
-	c := New(censor.Default(), nil)
+	c := New()
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
 		p := trigger(80, []byte("GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"))

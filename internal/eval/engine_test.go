@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"geneva/internal/censor"
 	"geneva/internal/core"
 	"geneva/internal/genetic"
 )
@@ -205,11 +204,11 @@ func TestEvalStatsString(t *testing.T) {
 // TestNewCensorReturnsExportedCounter locks in the trial.go lint fix: the
 // constructor's return type is the exported CensorCounter interface.
 func TestNewCensorReturnsExportedCounter(t *testing.T) {
-	var c CensorCounter = NewCensor(CountryChina, censor.Default(), rand.New(rand.NewSource(1)))
+	var c CensorCounter = NewCensor(CountryChina, rand.New(rand.NewSource(1)))
 	if c == nil || c.CensoredCount() != 0 {
 		t.Fatal("fresh censor must start with zero events")
 	}
-	if NewCensor(CountryNone, censor.Default(), rand.New(rand.NewSource(1))) != nil {
+	if NewCensor(CountryNone, rand.New(rand.NewSource(1))) != nil {
 		t.Fatal("CountryNone must yield a nil censor")
 	}
 }

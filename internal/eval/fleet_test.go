@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"geneva/internal/censor"
 	"geneva/internal/censor/gfw"
 	"geneva/internal/core"
 	"geneva/internal/netsim"
@@ -55,7 +54,7 @@ func TestFleetOfClientsThroughOneGFW(t *testing.T) {
 		return forbiddenSrv(c)
 	}
 
-	g := gfw.New(censor.Default(), rand.New(rand.NewSource(fleetCensorSeed)))
+	g := gfw.New(rand.New(rand.NewSource(fleetCensorSeed)))
 	n := netsim.NewMulti(server, []netsim.Host{evader, victim, browser}, g)
 	evader.Attach(n)
 	victim.Attach(n)

@@ -256,10 +256,13 @@ func KazakhFlagSweep(trials int) map[string]float64 {
 // censor processes the *second* request).
 func KazakhProbing() (twoForbidden, forbiddenThenBenign bool) {
 	probe := func(first, second string) bool {
-		res := Run(TrialConfig(CountryKazakhstan, "http", core.MustParse(fmt.Sprintf(
+		cfg := TrialConfig(CountryKazakhstan, "http", core.MustParse(fmt.Sprintf(
 			`[TCP:flags:SA]-duplicate(tamper{TCP:load:replace:%s},duplicate(tamper{TCP:load:replace:%s},))-| \/ `,
-			first, second)), 130))
-		kz, ok := res.Censor.(*kazakh.Kazakh)
+			first, second)), 130)
+		rig := NewRig(cfg)
+		defer rig.release()
+		rig.run(cfg.Tries)
+		kz, ok := rig.Censor.(*kazakh.Kazakh)
 		return ok && kz.ProbeResponses > 0
 	}
 	const forbidden = "GET / HTTP/1.1\r\nHost: blocked.example\r\n\r\n"

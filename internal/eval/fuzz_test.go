@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"geneva/internal/censor"
 	"geneva/internal/netsim"
 	"geneva/internal/packet"
 )
@@ -50,7 +49,7 @@ func TestCensorsNeverPanicOnArbitraryTraffic(t *testing.T) {
 		def := def
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			c := NewCensor(def.Country, censor.Default(), rand.New(rand.NewSource(seed+1)))
+			c := NewCensor(def.Country, rand.New(rand.NewSource(seed+1)))
 			for i := 0; i < 80; i++ {
 				p, dir := randomPacket(rng)
 				v := c.Process(p, dir, time.Duration(i)*time.Millisecond)

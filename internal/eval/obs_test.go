@@ -56,9 +56,9 @@ func TestMetricsNeutralImpairedRate(t *testing.T) {
 		Strategy: strategies.Strategy1.Parse(),
 		Tries:    TriesFor("http"),
 		Seed:     101,
-		Impairments: netsim.Symmetric(netsim.Profile{
+		Impairments: netsim.Profile{
 			Loss: 0.05, Duplicate: 0.02, Reorder: 0.02, Jitter: 2 * time.Millisecond,
-		}),
+		},
 	}
 	var off, on float64
 	withMetrics(t, false, func() { off = Rate(cfg, 20) })
@@ -77,7 +77,7 @@ func TestMetricsWorkerWidthInvariance(t *testing.T) {
 		Session:     SessionFor(CountryChina, "http", true),
 		Tries:       TriesFor("http"),
 		Seed:        7,
-		Impairments: netsim.Symmetric(netsim.Profile{Loss: 0.05}),
+		Impairments: netsim.Profile{Loss: 0.05},
 	}
 	snap := func(workers int) obs.Snapshot {
 		c := cfg
@@ -114,7 +114,7 @@ func TestMetricsDisabledCountsNothing(t *testing.T) {
 			Session:     SessionFor(CountryChina, "http", true),
 			Tries:       TriesFor("http"),
 			Seed:        3,
-			Impairments: netsim.Symmetric(netsim.Profile{Loss: 0.1}),
+			Impairments: netsim.Profile{Loss: 0.1},
 		})
 		s := obs.Take()
 		for name, v := range s.Counters {

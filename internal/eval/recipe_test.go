@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/censor/gfw"
 	"geneva/internal/core"
 	"geneva/internal/netsim"
@@ -117,7 +116,7 @@ func fingerprint(prints *[]uint64) func(*tcpstack.Endpoint) {
 // recorded stream is exercised.
 func TestSeedScheduleDescribesRig(t *testing.T) {
 	impaired := TrialConfig(CountryChina, "http", strategies.Strategy1.Parse(), 77)
-	impaired.Impairments = netsim.Symmetric(netsim.Profile{Loss: 0.05, Reorder: 0.02, Jitter: time.Millisecond})
+	impaired.Impairments = netsim.Profile{Loss: 0.05, Reorder: 0.02, Jitter: time.Millisecond}
 	for _, cfg := range []Config{TrialConfig(CountryChina, "dns", strategies.Strategy4.Parse(), 5), impaired} {
 		sch := SeedSchedule(cfg.Seed)
 		if len(sch.Streams) != 5 {
@@ -140,12 +139,12 @@ func TestSeedScheduleDescribesRig(t *testing.T) {
 			server.NewServerApp = cfg.Session.ServerFactory()
 			server.Listen(cfg.Session.Port)
 			server.Outbound = core.NewEngine(cfg.Strategy, stream(seed, "engine")).Outbound
-			cen := NewCensor(cfg.Country, censor.Default(), stream(seed, "censor"))
+			cen := NewCensor(cfg.Country, stream(seed, "censor"))
 			n := netsim.New(client, server, cen)
 			if cfg.Impairments.Enabled() {
 				n.SetImpairments(cfg.Impairments, stream(seed, "impairments"))
-				client.Retransmit = tcpstack.DefaultRetransmit
-				server.Retransmit = tcpstack.DefaultRetransmit
+				client.Retransmit = true
+				server.Retransmit = true
 			}
 			client.Attach(n)
 			server.Attach(n)

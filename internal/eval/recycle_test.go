@@ -58,9 +58,9 @@ func TestRecyclingBitIdentical(t *testing.T) {
 					cfg.Strategy = s.Parse()
 				}
 				if tc.impaired {
-					cfg.Impairments = netsim.Symmetric(netsim.Profile{
+					cfg.Impairments = netsim.Profile{
 						Loss: 0.05, Duplicate: 0.05, Jitter: 2 * time.Millisecond,
-					})
+					}
 				}
 
 				rigOn := NewRig(cfg) // NewRig enables recycling
@@ -93,11 +93,13 @@ func TestRecyclingBitIdentical(t *testing.T) {
 // TestTrialAllocBudget pins the end-to-end per-trial allocation budget.
 // The seed PR measured ~151 allocs per China/http trial; the pooled hot
 // path runs at ~61. The budget leaves headroom for cross-seed variance but
-// fails long before a regression to the unpooled numbers. A second leg
-// pins allocs and bytes of a trial run through RateStats (~48 objects,
-// ~7 KB with pooled generators). It runs with
-// metrics explicitly disabled: the obs layer's zero-cost-when-off guarantee
-// is part of what this tripwire enforces.
+// fails long before a regression to the unpooled numbers. Both legs, a
+// trial through Run and one through RateStats, also pin bytes: each hands
+// its generators back to the pool, so neither pays for a seeding table
+// (~48 objects, ~7 KB a trial). A fresh math/rand source is 5.4 KB, four of
+// them ~21 KB a trial, so a generator leak or an unpooled stream breaks
+// the budget. It runs with metrics explicitly disabled: the obs layer's
+// zero-cost-when-off guarantee is part of what this tripwire enforces.
 func TestTrialAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; budgets are enforced by make alloc-budget")
@@ -105,11 +107,26 @@ func TestTrialAllocBudget(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("metrics unexpectedly enabled; a prior test leaked obs state")
 	}
+	// perTrial runs fn once to fill the generator pool, then reports the
+	// objects and bytes it allocates per trial over n more calls of trials
+	// trials each.
+	perTrial := func(n, trials int, fn func()) (allocs, bytes float64) {
+		fn()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		total := float64(n * trials)
+		return float64(after.Mallocs-before.Mallocs) / total, float64(after.TotalAlloc-before.TotalAlloc) / total
+	}
+	const byteBudget = 12 << 10
 	s1, _ := strategies.ByNumber(1)
 	st := s1.Parse()
 	session := SessionFor(CountryChina, "http", true)
 	seed := int64(0)
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs, bytes := perTrial(50, 1, func() {
 		seed++
 		Run(Config{
 			Country:  CountryChina,
@@ -120,26 +137,17 @@ func TestTrialAllocBudget(t *testing.T) {
 		})
 	})
 	const budget = 110
-	if allocs > budget {
-		t.Errorf("full trial allocates %.0f objects/op, budget is %d (seed baseline was ~151)",
-			allocs, budget)
+	if allocs > budget || bytes > byteBudget {
+		t.Errorf("full trial allocates %.0f objects and %.0f B, budget is %d objects (seed baseline was ~151) and %d B",
+			allocs, bytes, budget, byteBudget)
 	}
+	t.Logf("Run trial: %.1f objects, %.0f B", allocs, bytes)
 
-	// The RateStats leg also pins bytes: a trial run through the fold
-	// hands its generators back to the pool, so it pays for no seeding
-	// table. A fresh math/rand source is 5.4 KB, four of them ~21 KB a
-	// trial, so a generator leak or an unpooled stream breaks the budget.
 	cfg := TrialConfig(CountryChina, "http", st, 1)
 	cfg.Workers = 1
 	const trials = 200
-	RateStats(cfg, trials) // fill the generator pool
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	RateStats(cfg, trials)
-	runtime.ReadMemStats(&after)
-	perAllocs := float64(after.Mallocs-before.Mallocs) / trials
-	perBytes := float64(after.TotalAlloc-before.TotalAlloc) / trials
-	const allocBudget, byteBudget = 55, 12 << 10
+	perAllocs, perBytes := perTrial(1, trials, func() { RateStats(cfg, trials) })
+	const allocBudget = 55
 	if perAllocs > allocBudget || perBytes > byteBudget {
 		t.Errorf("RateStats trial allocates %.1f objects and %.0f B, budget is %d objects and %d B",
 			perAllocs, perBytes, allocBudget, byteBudget)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"geneva/internal/censor"
 	"geneva/internal/censor/gfw"
 	"geneva/internal/censor/india"
 	"geneva/internal/censor/iran"
@@ -42,8 +41,9 @@ type CensorDef struct {
 	// block is built separately (it sweeps the full China strategy set);
 	// its entry leaves this nil.
 	Table2 []strategies.Strategy
-	// New builds the middlebox.
-	New func(bl censor.Blocklist, rng *rand.Rand) CensorCounter
+	// New builds the middlebox from the trial's censor stream (only the
+	// GFW draws from it; the other models are deterministic).
+	New func(rng *rand.Rand) CensorCounter
 }
 
 // censorRegistry is the ordered registry. The order is load-bearing only
@@ -59,8 +59,8 @@ var censorRegistry = []CensorDef{
 		Residual:     true,
 		RouterPrefix: netip.MustParsePrefix("10.1.0.0/16"),
 		Deploy:       strategies.Strategy1,
-		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-			return gfw.New(bl, rng)
+		New: func(rng *rand.Rand) CensorCounter {
+			return gfw.New(rng)
 		},
 	},
 	{
@@ -71,8 +71,8 @@ var censorRegistry = []CensorDef{
 		RouterPrefix: netip.MustParsePrefix("10.2.0.0/16"),
 		Deploy:       strategies.Strategy8,
 		Table2:       []strategies.Strategy{strategies.Strategy8},
-		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-			return india.NewAirtel(bl, rng)
+		New: func(*rand.Rand) CensorCounter {
+			return india.NewAirtel()
 		},
 	},
 	{
@@ -84,8 +84,8 @@ var censorRegistry = []CensorDef{
 		RouterPrefix: netip.MustParsePrefix("10.5.0.0/16"),
 		Deploy:       strategies.Strategy8,
 		Table2:       []strategies.Strategy{strategies.Strategy8},
-		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-			return india.New(india.Jio(), bl, rng)
+		New: func(*rand.Rand) CensorCounter {
+			return india.New(india.Jio())
 		},
 	},
 	{
@@ -96,8 +96,8 @@ var censorRegistry = []CensorDef{
 		RouterPrefix: netip.MustParsePrefix("10.6.0.0/16"),
 		Deploy:       strategies.Strategy8,
 		Table2:       []strategies.Strategy{strategies.Strategy8},
-		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-			return india.New(india.Vodafone(), bl, rng)
+		New: func(*rand.Rand) CensorCounter {
+			return india.New(india.Vodafone())
 		},
 	},
 	{
@@ -109,8 +109,8 @@ var censorRegistry = []CensorDef{
 		RouterPrefix: netip.MustParsePrefix("10.3.0.0/16"),
 		Deploy:       strategies.Strategy8,
 		Table2:       []strategies.Strategy{strategies.Strategy8},
-		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-			return iran.New(bl, rng)
+		New: func(*rand.Rand) CensorCounter {
+			return iran.New()
 		},
 	},
 	{
@@ -122,8 +122,8 @@ var censorRegistry = []CensorDef{
 		RouterPrefix: netip.MustParsePrefix("10.4.0.0/16"),
 		Deploy:       strategies.Strategy11,
 		Table2:       strategies.Kazakhstan(),
-		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-			return kazakh.New(bl, rng)
+		New: func(*rand.Rand) CensorCounter {
+			return kazakh.New()
 		},
 	},
 	{
@@ -135,8 +135,8 @@ var censorRegistry = []CensorDef{
 		RouterPrefix: netip.MustParsePrefix("10.7.0.0/16"),
 		Deploy:       strategies.Strategy8,
 		Table2:       []strategies.Strategy{strategies.Strategy8},
-		New: func(bl censor.Blocklist, rng *rand.Rand) CensorCounter {
-			return tmc.New(bl, rng)
+		New: func(*rand.Rand) CensorCounter {
+			return tmc.New()
 		},
 	},
 }

@@ -60,7 +60,7 @@ func TestRegistryWellFormed(t *testing.T) {
 		if d.New == nil {
 			t.Fatalf("%s: no constructor", d.Country)
 		}
-		c := d.New(censor.Default(), rand.New(rand.NewSource(1)))
+		c := d.New(rand.New(rand.NewSource(1)))
 		if c == nil {
 			t.Fatalf("%s: constructor returned nil", d.Country)
 		}
@@ -107,7 +107,7 @@ func TestRegistrySurfacesEverywhere(t *testing.T) {
 		if got := CensoredProtocols(d.Country); len(got) != len(d.Protocols) {
 			t.Errorf("%s: CensoredProtocols = %v, want %v", d.Country, got, d.Protocols)
 		}
-		if c := NewCensor(d.Country, censor.Default(), rand.New(rand.NewSource(2))); c == nil {
+		if c := NewCensor(d.Country, rand.New(rand.NewSource(2))); c == nil {
 			t.Errorf("%s: NewCensor returned nil", d.Country)
 		}
 	}

@@ -53,7 +53,7 @@ func Robustness(base netsim.Profile, lossRates []float64, trials int) []Robustne
 				prof.Loss = loss
 				s, _ := byNumber(n) // 0, no evasion: nil
 				cfg := TrialConfig(country, proto, s, int64(100000*ci+1000*n+protoSeed(proto)))
-				cfg.Impairments = netsim.Symmetric(prof)
+				cfg.Impairments = prof
 				cells = append(cells, RobustnessCell{
 					Country:  country,
 					Protocol: proto,

@@ -10,7 +10,6 @@ import (
 	"net/netip"
 
 	"geneva/internal/apps"
-	"geneva/internal/censor"
 	"geneva/internal/core"
 	"geneva/internal/lazyrand"
 	"geneva/internal/netsim"
@@ -49,13 +48,14 @@ type CensorCounter interface {
 
 // NewCensor builds the middlebox for a country, or nil for CountryNone.
 // The registry is the single source of truth: adding a CensorDef makes the
-// country constructible here with no further wiring.
-func NewCensor(country string, bl censor.Blocklist, rng *rand.Rand) CensorCounter {
+// country constructible here with no further wiring. Every censor matches
+// against censor.Default(); rng drives the stochastic ones (the GFW).
+func NewCensor(country string, rng *rand.Rand) CensorCounter {
 	if country == CountryNone {
 		return nil
 	}
 	if d, ok := CensorByCountry(country); ok {
-		return d.New(bl, rng)
+		return d.New(rng)
 	}
 	panic(fmt.Sprintf("eval: unknown country %q", country))
 }
@@ -88,11 +88,11 @@ type Config struct {
 	ServerHook func(*tcpstack.Endpoint)
 	// WithTrace records a packet trace (waterfalls).
 	WithTrace bool
-	// Impairments adds seedable loss/duplication/reordering/jitter to the
-	// path and arms endpoint retransmission. The zero value leaves the
-	// network lossless, the retransmission timers unarmed, and every trial
-	// byte-identical to an impairment-free build.
-	Impairments netsim.Impairments
+	// Impairments adds seedable loss/duplication/reordering/jitter to both
+	// directions of the path and arms endpoint retransmission. The zero
+	// value leaves the network lossless, the retransmission timers unarmed,
+	// and every trial byte-identical to an impairment-free build.
+	Impairments netsim.Profile
 	// Workers bounds the per-trial worker pool Rate/RateStats fan out on
 	// (0 = the process default, Workers()). Purely a scheduling knob: every
 	// trial derives its randomness from Seed and its own index, so results
@@ -125,11 +125,6 @@ type Result struct {
 	CensorEvents int
 	// Attempts is how many connections were made.
 	Attempts int
-	// Censor exposes the middlebox for model-specific inspection.
-	Censor netsim.Middlebox
-	// Rig remains usable for follow-on connections (residual
-	// censorship experiments).
-	Rig *Rig
 	// Trace is the packet trace of the *last* attempt (if requested).
 	Trace *netsim.Trace
 }
@@ -166,7 +161,7 @@ func NewRig(cfg Config) *Rig {
 		server.Outbound = core.NewEngine(cfg.Strategy, rig.stream(cfg.Seed, streamEngine)).Outbound
 	}
 
-	cen := NewCensor(cfg.Country, censor.Default(), rig.stream(cfg.Seed, streamCensor))
+	cen := NewCensor(cfg.Country, rig.stream(cfg.Seed, streamCensor))
 	n := netsim.New(client, server, cen)
 	// Recycling is safe here because every component in the rig — endpoints,
 	// censors, apps — copies what it keeps and never retains a delivered
@@ -180,8 +175,8 @@ func NewRig(cfg Config) *Rig {
 		// A stream of its own keeps the impairment schedule independent of
 		// the ISN, engine, and censor streams.
 		n.SetImpairments(cfg.Impairments, rig.stream(cfg.Seed, streamImpairments))
-		client.Retransmit = tcpstack.DefaultRetransmit
-		server.Retransmit = tcpstack.DefaultRetransmit
+		client.Retransmit = true
+		server.Retransmit = true
 	}
 	client.Attach(n)
 	server.Attach(n)
@@ -236,9 +231,15 @@ func (r *Rig) CensorEvents() int {
 
 // Run executes the trial: up to cfg.Tries attempts, retrying only when the
 // previous connection was torn down (the RFC 7766 client behaviour the
-// paper leans on for DNS success rates). The rig's generators are not
-// pooled again: Result.Rig stays usable for follow-on connections.
-func Run(cfg Config) Result { return NewRig(cfg).run(cfg.Tries) }
+// paper leans on for DNS success rates). The rig's generators go back to
+// the pool afterwards; the Result keeps only counts and the Trace, which
+// holds clones, so it stays valid.
+func Run(cfg Config) Result {
+	rig := NewRig(cfg)
+	res := rig.run(cfg.Tries)
+	rig.release()
+	return res
+}
 
 // Retry is the one reconnect rule, shared by trials and the fleet: a client
 // whose attempt-th connection ended as app connects again when that attempt
@@ -250,7 +251,7 @@ func Retry(app *apps.Script, attempt, budget int, retryAll bool) bool {
 
 // run is Run's try loop on an already built rig.
 func (rig *Rig) run(tries int) Result {
-	res := Result{Censor: rig.Censor, Rig: rig}
+	var res Result
 	for {
 		app := rig.Attempt()
 		res.Attempts++

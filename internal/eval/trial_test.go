@@ -200,9 +200,9 @@ func TestRateStatsWidthInvariance(t *testing.T) {
 			Strategy: strategies.Strategy1.Parse(),
 			Tries:    TriesFor("http"),
 			Seed:     101,
-			Impairments: netsim.Symmetric(netsim.Profile{
+			Impairments: netsim.Profile{
 				Loss: 0.05, Duplicate: 0.02, Reorder: 0.02, Jitter: 2 * time.Millisecond,
-			}),
+			},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -211,7 +211,7 @@ func (cs CensorShift) check(countries []string) error {
 	shifters := 0
 	for _, c := range countries {
 		// The censor never sees a packet, so it needs no rng.
-		if sh, ok := eval.NewCensor(c, censor.Default(), nil).(censor.ParamShifter); ok {
+		if sh, ok := eval.NewCensor(c, nil).(censor.ParamShifter); ok {
 			shifters++
 			if err := sh.ShiftParams(cs.Params); err != nil {
 				return err
@@ -785,16 +785,16 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 		hosts = append(hosts, ep)
 	}
 
-	c.cen = eval.NewCensor(cp.country, censor.Default(), c.rng(cellSeed+seedCensor))
+	c.cen = eval.NewCensor(cp.country, c.rng(cellSeed+seedCensor))
 	c.resid, _ = c.cen.(censor.ResidualCarrier)
 	c.shifter, _ = c.cen.(censor.ParamShifter)
 	c.net = netsim.NewMulti(c.server, hosts, c.cen)
 	c.net.RecyclePackets = true
-	if im := netsim.Symmetric(wl.Impairments); im.Enabled() {
-		c.net.SetImpairments(im, c.rng(cellSeed+seedImpairments))
-		c.server.Retransmit = tcpstack.DefaultRetransmit
+	if wl.Impairments.Enabled() {
+		c.net.SetImpairments(wl.Impairments, c.rng(cellSeed+seedImpairments))
+		c.server.Retransmit = true
 		for _, ep := range c.slots {
-			ep.Retransmit = tcpstack.DefaultRetransmit
+			ep.Retransmit = true
 		}
 	}
 	c.server.Attach(c.net)

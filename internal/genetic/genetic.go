@@ -22,9 +22,20 @@ import (
 	"geneva/internal/lazyrand"
 )
 
-// parsimony is the per-node fitness penalty (bloat control): prefer smaller
-// strategies at equal success.
-const parsimony = 0.003
+// The paper's fixed GA settings (§4.1).
+const (
+	// parsimony is the per-node fitness penalty (bloat control): prefer
+	// smaller strategies at equal success.
+	parsimony = 0.003
+	// elite individuals survive unchanged each generation.
+	elite = 4
+	// mutationRate is the per-offspring probability of mutation.
+	mutationRate = 0.9
+	// crossoverRate is the per-offspring probability of crossover.
+	crossoverRate = 0.4
+	// maxNodes caps action-tree size (bloat control).
+	maxNodes = 12
+)
 
 // Config controls one evolution run.
 type Config struct {
@@ -49,18 +60,10 @@ type Config struct {
 	BatchFitness func([]*core.Strategy) []float64
 	// Rng drives all stochastic choices.
 	Rng *rand.Rand
-	// Elite individuals survive unchanged each generation.
-	Elite int
-	// MutationRate is the per-offspring probability of mutation.
-	MutationRate float64
-	// CrossoverRate is the per-offspring probability of crossover.
-	CrossoverRate float64
 	// ConvergeAfter stops early once the best canonical strategy has not
 	// changed for this many generations (0 = the default of 8; negative =
 	// never stop early).
 	ConvergeAfter int
-	// MaxNodes caps action-tree size (bloat control).
-	MaxNodes int
 }
 
 // withDefaults fills unset fields with the paper's configuration.
@@ -74,20 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.TriggerValue == "" {
 		c.TriggerValue = "SA"
 	}
-	if c.Elite == 0 {
-		c.Elite = 4
-	}
-	if c.MutationRate == 0 {
-		c.MutationRate = 0.9
-	}
-	if c.CrossoverRate == 0 {
-		c.CrossoverRate = 0.4
-	}
 	if c.ConvergeAfter == 0 {
 		c.ConvergeAfter = 8
-	}
-	if c.MaxNodes == 0 {
-		c.MaxNodes = 12
 	}
 	return c
 }
@@ -157,7 +148,7 @@ func Evolve(cfg Config) Result {
 		}
 
 		next := make([]Individual, 0, cfg.PopulationSize)
-		for i := 0; i < cfg.Elite && i < len(pop); i++ {
+		for i := 0; i < elite && i < len(pop); i++ {
 			next = append(next, Individual{Strategy: pop[i].Strategy.Clone()})
 		}
 		// Random immigrants (10%): fresh genetic material every
@@ -168,14 +159,14 @@ func Evolve(cfg Config) Result {
 		}
 		for len(next) < cfg.PopulationSize {
 			child := tournament(rng, pop).Strategy.Clone()
-			if rng.Float64() < cfg.CrossoverRate {
+			if rng.Float64() < crossoverRate {
 				mate := tournament(rng, pop).Strategy
 				Crossover(rng, child, mate.Clone())
 			}
-			if rng.Float64() < cfg.MutationRate {
+			if rng.Float64() < mutationRate {
 				Mutate(rng, child, trigger)
 			}
-			if child.Size() > cfg.MaxNodes {
+			if child.Size() > maxNodes {
 				child = RandomStrategy(rng, trigger)
 			}
 			next = append(next, Individual{Strategy: child})

@@ -143,19 +143,26 @@ func TestEvolveConvergesEarly(t *testing.T) {
 
 func TestEvolveRespectsMaxNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	largest := 0
 	res := Evolve(Config{
 		PopulationSize: 40,
 		Generations:    10,
-		MaxNodes:       6,
 		// Reward bloat to fight the cap.
-		BatchFitness: each(func(s *core.Strategy) float64 { return float64(s.Size()) / 100 }),
-		Rng:          rng,
+		BatchFitness: func(b []*core.Strategy) []float64 {
+			out := make([]float64, len(b))
+			for i, s := range b {
+				largest = max(largest, s.Size())
+				out[i] = float64(s.Size()) / 100
+			}
+			return out
+		},
+		Rng: rng,
 	})
-	_ = res
-	// The cap is applied pre-evaluation; just ensure no pathological blowup
-	// in the final best.
-	if res.Best.Strategy.Size() > 40 {
-		t.Errorf("best strategy has %d nodes", res.Best.Strategy.Size())
+	// The 12-node cap is applied before evaluation: no individual ever
+	// scored, and so not the best either, is larger.
+	if largest > 12 || res.Best.Strategy.Size() > 12 {
+		t.Errorf("largest scored strategy has %d nodes, best %d; cap is 12",
+			largest, res.Best.Strategy.Size())
 	}
 }
 

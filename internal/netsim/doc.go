@@ -7,9 +7,10 @@
 //
 //   - FIFO delivery per direction by default (the paper's footnote 1 relies
 //     on this); an optional seedable impairment layer (SetImpairments) adds
-//     per-direction loss, duplication, reordering, and latency jitter for
-//     robustness experiments — the zero-value Impairments keeps the network
-//     perfectly lossless and byte-identical to the historical behaviour;
+//     loss, duplication, reordering, and latency jitter, alike in both
+//     directions, for robustness experiments — the zero-value Profile keeps
+//     the network perfectly lossless and byte-identical to the historical
+//     behaviour;
 //   - per-hop TTL decrement, so TTL-limited probes can locate a censor
 //     (§6) and TTL-limited insertion packets behave correctly;
 //   - on-path boxes see copies and can inject packets to either end, while

@@ -25,7 +25,7 @@ func FuzzImpairments(f *testing.F) {
 		s := &recordHost{addr: serverAddr}
 		n := New(c, s)
 		n.Trace = &Trace{}
-		n.SetImpairments(Symmetric(prof), rand.New(rand.NewSource(seed)))
+		n.SetImpairments(prof, rand.New(rand.NewSource(seed)))
 		sends := int(npkts)%64 + 1
 		for i := 0; i < sends; i++ {
 			p := syn(64)

@@ -8,8 +8,11 @@ import (
 	"geneva/internal/lazyrand"
 )
 
-// Profile describes the impairment of one direction of the path. All
-// probabilities are per-packet in [0, 1]; the zero value is a perfect link.
+// Profile describes the impairment of the path; both directions are
+// degraded alike. All probabilities are per-packet in [0, 1]. The zero
+// value is a perfect link: it disables the layer entirely, no randomness is
+// consumed, and delivery is byte-identical to a network that never heard
+// of impairments.
 type Profile struct {
 	// Loss is the probability a packet is silently dropped in transit.
 	Loss float64
@@ -41,40 +44,20 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-func (p Profile) enabled() bool {
+// Enabled reports whether any impairment is active.
+func (p Profile) Enabled() bool {
 	return p.Loss > 0 || p.Duplicate > 0 || p.Reorder > 0 || p.Jitter > 0
-}
-
-// Impairments bundles the per-direction impairment profiles of the path.
-// The zero value disables the layer entirely: no randomness is consumed and
-// delivery is byte-identical to a network that never heard of impairments.
-type Impairments struct {
-	ToServer Profile
-	ToClient Profile
-}
-
-// Symmetric applies the same profile to both directions.
-func Symmetric(p Profile) Impairments { return Impairments{ToServer: p, ToClient: p} }
-
-// Enabled reports whether any impairment is active in either direction.
-func (im Impairments) Enabled() bool { return im.ToServer.enabled() || im.ToClient.enabled() }
-
-func (im Impairments) profile(dir Direction) Profile {
-	if dir == ToServer {
-		return im.ToServer
-	}
-	return im.ToClient
 }
 
 // SetImpairments installs the impairment layer. The rng is the sole source
 // of randomness — two networks configured with equal profiles and
 // equally-seeded rngs impair identically. A nil rng with active impairments
 // falls back to a fixed seed so behaviour stays reproducible.
-func (n *Network) SetImpairments(im Impairments, rng *rand.Rand) {
-	if rng == nil && im.Enabled() {
+func (n *Network) SetImpairments(p Profile, rng *rand.Rand) {
+	if rng == nil && p.Enabled() {
 		rng = lazyrand.New(0)
 	}
-	n.impair = im
+	n.impair = p
 	n.impairRNG = rng
 }
 
@@ -82,7 +65,8 @@ func (n *Network) SetImpairments(im Impairments, rng *rand.Rand) {
 // hold-back (long enough that the next packet overtakes) plus jitter. The
 // draw order is fixed — reorder, then jitter — so a given rng stream always
 // maps to the same impairment schedule.
-func (n *Network) impairExtra(p Profile) time.Duration {
+func (n *Network) impairExtra() time.Duration {
+	p := n.impair
 	var extra time.Duration
 	if p.Reorder > 0 && n.impairRNG.Float64() < p.Reorder {
 		mReordered.Inc()

@@ -15,7 +15,7 @@ func burst(n *Network, c Host, count int) {
 	}
 }
 
-// TestZeroImpairmentsIsInert: installing a zero-value Impairments must leave
+// TestZeroImpairmentsIsInert: installing a zero-value Profile must leave
 // delivery byte-identical to a network that never called SetImpairments —
 // same packets, same order, same trace.
 func TestZeroImpairmentsIsInert(t *testing.T) {
@@ -25,7 +25,7 @@ func TestZeroImpairmentsIsInert(t *testing.T) {
 		n := New(c, s)
 		n.Trace = &Trace{}
 		if install {
-			n.SetImpairments(Impairments{}, rand.New(rand.NewSource(42)))
+			n.SetImpairments(Profile{}, rand.New(rand.NewSource(42)))
 		}
 		burst(n, c, 10)
 		n.Run(0)
@@ -43,14 +43,14 @@ func TestZeroImpairmentsIsInert(t *testing.T) {
 	}
 }
 
-// TestTotalLossDeliversNothing: Loss=1 drops every packet in the impaired
-// direction and records the drop in the trace.
+// TestTotalLossDeliversNothing: Loss=1 drops every packet and records the
+// drop in the trace.
 func TestTotalLossDeliversNothing(t *testing.T) {
 	c := &recordHost{addr: clientAddr}
 	s := &recordHost{addr: serverAddr}
 	n := New(c, s)
 	n.Trace = &Trace{}
-	n.SetImpairments(Impairments{ToServer: Profile{Loss: 1}}, rand.New(rand.NewSource(1)))
+	n.SetImpairments(Profile{Loss: 1}, rand.New(rand.NewSource(1)))
 	burst(n, c, 5)
 	n.Run(0)
 	if len(s.got) != 0 {
@@ -72,7 +72,7 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	c := &recordHost{addr: clientAddr}
 	s := &recordHost{addr: serverAddr}
 	n := New(c, s)
-	n.SetImpairments(Impairments{ToServer: Profile{Duplicate: 1}}, rand.New(rand.NewSource(1)))
+	n.SetImpairments(Profile{Duplicate: 1}, rand.New(rand.NewSource(1)))
 	burst(n, c, 4)
 	n.Run(0)
 	if len(s.got) != 8 {
@@ -87,7 +87,7 @@ func TestReorderViolatesFIFO(t *testing.T) {
 		c := &recordHost{addr: clientAddr}
 		s := &recordHost{addr: serverAddr}
 		n := New(c, s)
-		n.SetImpairments(Impairments{ToServer: Profile{Reorder: 0.5}}, rand.New(rand.NewSource(seed)))
+		n.SetImpairments(Profile{Reorder: 0.5}, rand.New(rand.NewSource(seed)))
 		burst(n, c, 10)
 		n.Run(0)
 		if len(s.got) != 10 {
@@ -102,22 +102,6 @@ func TestReorderViolatesFIFO(t *testing.T) {
 	t.Error("no seed in 1..20 produced any reordering at Reorder=0.5")
 }
 
-// TestImpairmentIsPerDirection: impairing ToClient must not touch ToServer.
-func TestImpairmentIsPerDirection(t *testing.T) {
-	c := &recordHost{addr: clientAddr}
-	s := &recordHost{addr: serverAddr, reply: true}
-	n := New(c, s)
-	n.SetImpairments(Impairments{ToClient: Profile{Loss: 1}}, rand.New(rand.NewSource(1)))
-	n.Send(c, syn(64))
-	n.Run(0)
-	if len(s.got) != 1 {
-		t.Error("ToServer direction was impaired by a ToClient profile")
-	}
-	if len(c.got) != 0 {
-		t.Error("ToClient loss=1 still delivered the reply")
-	}
-}
-
 // TestImpairmentDeterminism: equal seeds produce identical traces; a
 // different seed produces a different schedule.
 func TestImpairmentDeterminism(t *testing.T) {
@@ -126,7 +110,7 @@ func TestImpairmentDeterminism(t *testing.T) {
 		s := &recordHost{addr: serverAddr}
 		n := New(c, s)
 		n.Trace = &Trace{}
-		n.SetImpairments(Symmetric(Profile{Loss: 0.3, Duplicate: 0.2, Reorder: 0.3, Jitter: 3 * time.Millisecond}),
+		n.SetImpairments(Profile{Loss: 0.3, Duplicate: 0.2, Reorder: 0.3, Jitter: 3 * time.Millisecond},
 			rand.New(rand.NewSource(seed)))
 		burst(n, c, 30)
 		n.Run(0)
@@ -152,7 +136,7 @@ func TestJitterSpreadsDeliveryTimes(t *testing.T) {
 	s := &recordHost{addr: serverAddr}
 	n := New(c, s)
 	n.Trace = &Trace{}
-	n.SetImpairments(Impairments{ToServer: Profile{Jitter: 10 * time.Millisecond}}, rand.New(rand.NewSource(3)))
+	n.SetImpairments(Profile{Jitter: 10 * time.Millisecond}, rand.New(rand.NewSource(3)))
 	burst(n, c, 10)
 	n.Run(0)
 	times := map[time.Duration]bool{}

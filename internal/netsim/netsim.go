@@ -87,7 +87,7 @@ type Network struct {
 	clients        map[netip.Addr]Host
 	boxes          []Middlebox
 
-	impair    Impairments
+	impair    Profile
 	impairRNG *rand.Rand
 
 	queue eventHeap
@@ -171,8 +171,7 @@ func (n *Network) Inject(pkt *packet.Packet, dir Direction) {
 }
 
 func (n *Network) enqueue(pkt *packet.Packet, dir Direction, fromCensor bool) {
-	prof := n.impair.profile(dir)
-	if !prof.enabled() {
+	if !n.impair.Enabled() {
 		n.push(pkt, dir, fromCensor, n.LinkDelay)
 		return
 	}
@@ -180,17 +179,17 @@ func (n *Network) enqueue(pkt *packet.Packet, dir Direction, fromCensor bool) {
 	// duplication, duplicate-copy delay) so a seeded rng always produces
 	// the same schedule.
 	now := n.Clock.Now()
-	if n.impairRNG.Float64() < prof.Loss {
+	if n.impairRNG.Float64() < n.impair.Loss {
 		mLost.Inc()
 		n.trace(pkt, dir, "lost (impairment)", now)
 		n.recycle(pkt)
 		return
 	}
-	n.push(pkt, dir, fromCensor, n.LinkDelay+n.impairExtra(prof))
-	if n.impairRNG.Float64() < prof.Duplicate {
+	n.push(pkt, dir, fromCensor, n.LinkDelay+n.impairExtra())
+	if n.impairRNG.Float64() < n.impair.Duplicate {
 		mDuplicated.Inc()
 		n.trace(pkt, dir, "duplicated (impairment)", now)
-		n.push(pkt.ClonePooled(), dir, fromCensor, n.LinkDelay+n.impairExtra(prof))
+		n.push(pkt.ClonePooled(), dir, fromCensor, n.LinkDelay+n.impairExtra())
 	}
 }
 

@@ -100,7 +100,7 @@ func (c *Counter) Name() string { return c.name }
 // Value returns the current count (readable whether or not enabled).
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a last-value-wins instrument (e.g. a table size).
+// Gauge is a high-water-mark instrument (e.g. a table's peak size).
 type Gauge struct {
 	name string
 	v    atomic.Uint64
@@ -114,14 +114,6 @@ func NewGauge(name string) *Gauge {
 	registry.gauges = append(registry.gauges, g)
 	registry.mu.Unlock()
 	return g
-}
-
-// Set stores v when metrics are enabled.
-func (g *Gauge) Set(v uint64) {
-	if !enabled.Load() {
-		return
-	}
-	g.v.Store(v)
 }
 
 // SetMax raises the gauge to v if v is larger (a high-water mark).

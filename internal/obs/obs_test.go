@@ -19,7 +19,6 @@ func TestDisabledInstrumentsAreInert(t *testing.T) {
 	Reset()
 	testCounter.Inc()
 	testCounter.Add(5)
-	testGauge.Set(9)
 	testGauge.SetMax(9)
 	testHist.Observe(3)
 	if testCounter.Value() != 0 || testGauge.Value() != 0 {
@@ -40,7 +39,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		testCounter.Inc()
 		testCounter.Add(3)
-		testGauge.Set(7)
+		testGauge.SetMax(7)
 		testHist.Observe(2)
 	}); allocs != 0 {
 		t.Errorf("disabled instruments allocate %.1f objects/op, want 0", allocs)
@@ -70,7 +69,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if got := testCounter.Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	testGauge.Set(3)
+	testGauge.SetMax(3)
 	testGauge.SetMax(10)
 	testGauge.SetMax(7) // lower: ignored
 	if got := testGauge.Value(); got != 10 {

@@ -23,17 +23,18 @@
 //     checksum-corrupted "insertion packet" is processed by censors (which
 //     do not validate) but not by any client — the §7 compatibility fix.
 //
-// Retransmission is opt-in (Endpoint.Retransmit). Historically there was
-// deliberately no retransmission timer — the virtual network never lost
-// packets except by explicit censor action — and that remains the zero-value
-// behaviour: with the policy disabled no timer is ever armed, packet traces
-// are byte-identical to older builds, and the experiment harness treats a
+// Retransmission is opt-in (Endpoint.Retransmit, a bool). Historically there
+// was deliberately no retransmission timer — the virtual network never lost
+// packets except by explicit censor action — and that remains the default:
+// with retransmission off no timer is ever armed, packet traces are
+// byte-identical to older builds, and the experiment harness treats a
 // quiescent, unanswered connection as the failure it is (e.g. Iran's
 // blackholing). When netsim impairments (loss, duplication, reordering,
-// jitter) are active, the harness enables the policy: every
-// sequence-consuming segment (SYN, SYN+ACK, data, FIN) is tracked in a
-// retransmit queue and re-sent on a virtual-clock RTO with doubling backoff,
-// aborting cleanly after a bounded number of retries. Retransmissions
+// jitter) are active, the harness turns it on: every sequence-consuming
+// segment (SYN, SYN+ACK, data, FIN) is tracked in a retransmit queue and
+// re-sent on a virtual-clock RTO of 200 ms that doubles on each retry,
+// aborting cleanly after six retries without forward progress. Both values
+// are constants. Retransmissions
 // re-enter the Outbound hook, so a Geneva engine re-processes them exactly
 // as NFQueue would on a real server — which makes retransmitted payloads
 // versus GFW resynchronization triggers (§5) an observable phenomenon rather

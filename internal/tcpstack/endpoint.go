@@ -23,10 +23,12 @@ type Endpoint struct {
 	// attachment point (and the harness's client-instrumentation hook for
 	// the §5 follow-up experiments).
 	Outbound func(*packet.Packet) []*packet.Packet
-	// Retransmit arms RTO-driven retransmission for sequence-consuming
-	// segments. The zero value disables it — required on a lossless
-	// network to keep historical packet traces byte-identical.
-	Retransmit RetransmitPolicy
+	// Retransmit arms an RTO timer for every sequence-consuming segment
+	// (SYN, SYN+ACK, data, FIN): initialRTO, doubling, at most maxRetries
+	// retransmissions. Off by default — required on a lossless network to
+	// keep historical packet traces byte-identical; the harness turns it on
+	// whenever network impairments are active.
+	Retransmit bool
 	// ReleaseClosed opts the endpoint into connection recycling: a
 	// connection is removed from the table the moment it finishes (clean
 	// close or reset) and its struct — with the send/receive buffer

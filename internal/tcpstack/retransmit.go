@@ -6,41 +6,16 @@ import (
 	"geneva/internal/packet"
 )
 
-// RetransmitPolicy configures the endpoint's retransmission machinery. The
-// zero value disables it entirely — the historical lossless-network
-// behaviour, under which no timer is ever armed and packet emission is
-// byte-identical to builds that predate retransmission.
-type RetransmitPolicy struct {
-	// Enabled arms an RTO timer for every sequence-consuming segment
-	// (SYN, SYN+ACK, data, FIN).
-	Enabled bool
-	// RTO is the initial retransmission timeout; it doubles on every
-	// consecutive unacknowledged retransmission. Defaults to 200 ms of
-	// virtual time (10× the default simulated RTT).
-	RTO time.Duration
-	// MaxRetries bounds consecutive retransmissions without forward
+const (
+	// initialRTO is the first retransmission timeout: 200 ms of virtual
+	// time, 10× the default simulated RTT. It doubles on every consecutive
+	// unacknowledged retransmission.
+	initialRTO = 200 * time.Millisecond
+	// maxRetries bounds consecutive retransmissions without forward
 	// progress; on exhaustion the connection aborts cleanly (OnClose with
-	// reset=false). Defaults to 6.
-	MaxRetries int
-}
-
-// DefaultRetransmit is the policy the experiment harness installs whenever
-// network impairments are active.
-var DefaultRetransmit = RetransmitPolicy{Enabled: true}
-
-func (p RetransmitPolicy) rto() time.Duration {
-	if p.RTO > 0 {
-		return p.RTO
-	}
-	return 200 * time.Millisecond
-}
-
-func (p RetransmitPolicy) maxRetries() int {
-	if p.MaxRetries > 0 {
-		return p.MaxRetries
-	}
-	return 6
-}
+	// reset=false).
+	maxRetries = 6
+)
 
 // rtxSeg is one in-flight sequence-consuming segment awaiting
 // acknowledgment.
@@ -55,13 +30,13 @@ type rtxSeg struct {
 // NFQueue on a real deployment — retransmitted server payloads hitting GFW
 // resync triggers is live experiment space (§5), not an artifact.
 func (c *Conn) trackRtx(p *packet.Packet, end uint32) {
-	if !c.ep.Retransmit.Enabled || c.closed || c.ep.net == nil {
+	if !c.ep.Retransmit || c.closed || c.ep.net == nil {
 		return
 	}
 	c.rtxQ = append(c.rtxQ, rtxSeg{end: end, pkt: p.ClonePooled()})
 	if len(c.rtxQ) == 1 {
 		c.rtxRetries = 0
-		c.armRtx(c.ep.Retransmit.rto())
+		c.armRtx(initialRTO)
 	}
 }
 
@@ -108,7 +83,7 @@ func (c *Conn) ackRtx() {
 	if len(c.rtxQ) == 0 {
 		c.disarmRtx()
 	} else {
-		c.armRtx(c.ep.Retransmit.rto())
+		c.armRtx(initialRTO)
 	}
 }
 
@@ -120,7 +95,7 @@ func (c *Conn) onRtxTimer(gen int) {
 	if gen != c.rtxGen || c.closed || len(c.rtxQ) == 0 {
 		return
 	}
-	if c.rtxRetries >= c.ep.Retransmit.maxRetries() {
+	if c.rtxRetries >= maxRetries {
 		mRtxGiveUp.Inc()
 		c.releaseRtx()
 		c.disarmRtx()

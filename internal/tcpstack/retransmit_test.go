@@ -43,8 +43,8 @@ func retransmitRig(boxes ...netsim.Middlebox) (*Endpoint, *Endpoint, *netsim.Net
 	srvApp := &testApp{response: []byte("the response body")}
 	client := NewEndpoint(clientAddr, DefaultClient, rand.New(rand.NewSource(1)))
 	server := NewEndpoint(serverAddr, DefaultServer, rand.New(rand.NewSource(2)))
-	client.Retransmit = DefaultRetransmit
-	server.Retransmit = DefaultRetransmit
+	client.Retransmit = true
+	server.Retransmit = true
 	server.NewServerApp = func(*Conn) App { return srvApp }
 	server.Listen(80)
 	n := netsim.New(client, server, boxes...)
@@ -108,15 +108,15 @@ func TestRetransmitGivesUpCleanly(t *testing.T) {
 	if conn.State() != StateClosed {
 		t.Errorf("connection state = %v, want CLOSED", conn.State())
 	}
-	// 1 original + MaxRetries retransmissions, all dropped at the censor hop.
+	// 1 original + maxRetries retransmissions, all dropped at the censor hop.
 	syns := 0
 	for _, e := range n.Trace.Entries {
 		if e.Dir == netsim.ToServer && e.Pkt.TCP.Flags == packet.FlagSYN {
 			syns++
 		}
 	}
-	if want := 1 + DefaultRetransmit.maxRetries(); syns != want {
-		t.Errorf("observed %d SYNs, want %d (1 + MaxRetries)", syns, want)
+	if want := 1 + maxRetries; syns != want {
+		t.Errorf("observed %d SYNs, want %d (1 + maxRetries)", syns, want)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestRetransmitBackoffDoubles(t *testing.T) {
 			times = append(times, e.Time)
 		}
 	}
-	rto := DefaultRetransmit.rto()
+	rto := initialRTO
 	for i := 1; i < len(times); i++ {
 		want := rto << (i - 1)
 		if gap := times[i] - times[i-1]; gap != want {
