@@ -70,32 +70,15 @@ func (t *tcb) fromClient(p *packet.Packet) bool {
 	return p.IP.Src == t.clientAddr && p.TCP.SrcPort == t.clientPort
 }
 
-// maxFlows bounds a box's TCB table. Real censors evict aggressively to
-// survive at national scale (§2.1: "maintaining a TCB on a per-flow basis
-// is challenging at scale, and thus on-path censors naturally take several
-// shortcuts"); torn-down and dealt-with flows go first.
-const maxFlows = 65536
-
 // Box is one of the GFW's per-protocol censorship engines.
 type Box struct {
 	P Params
 
 	rng *rand.Rand
 	m   *boxMetrics
-	// The first tracked flow lives inline: the standard rig is one
-	// connection per trial fanned out to five boxes, so keeping flow #1
-	// out of the map means most trials never allocate per-flow state at
-	// all. Additional concurrent flows spill into the flows map.
-	flow0 packet.Flow
-	tcb0  tcb
-	have0 bool
-	flows map[packet.Flow]*tcb
-	// free recycles TCBs of dealt-with flows (see dropFlow). At fleet
-	// scale the table would otherwise accumulate one dead entry per
-	// connection until the maxFlows sweep; recycling keeps the map sized
-	// to the *live* flow population and reuses each TCB's reassembly
-	// buffer across flows.
-	free    []*tcb
+	// solo is the one-slot flow table of a standalone box (Process); a
+	// box inside a GFW keeps its TCBs in the GFW's shared table instead.
+	solo    *flowTable
 	lastNow time.Duration
 	// residual holds each poisoned server ip:port's residual window.
 	residual censor.Windows[netip.AddrPort]
@@ -107,64 +90,15 @@ type Box struct {
 }
 
 // NewBox builds a box with its own RNG stream. The flow and residual
-// tables are lazy: single-connection trials use the inline TCB slot, and
-// only the box whose Params carry residual censorship (HTTP) ever opens a
-// residual window, so the common trial allocates neither.
+// tables are lazy: only a standalone box needs a flow table of its own,
+// and only the box whose Params carry residual censorship (HTTP) ever
+// opens a residual window.
 func NewBox(p Params, rng *rand.Rand) *Box {
 	return &Box{
 		P:   p,
 		rng: rng,
 		m:   metricsFor(p.Protocol),
 	}
-}
-
-// lookup finds the TCB for a canonical flow key, or nil.
-func (b *Box) lookup(key packet.Flow) *tcb {
-	if b.have0 && key == b.flow0 {
-		return &b.tcb0
-	}
-	return b.flows[key]
-}
-
-// addFlow claims a zeroed TCB slot for a new flow: the inline slot first,
-// then a recycled TCB, then a fresh allocation into the spill map.
-func (b *Box) addFlow(key packet.Flow) *tcb {
-	if !b.have0 {
-		b.have0 = true
-		b.flow0 = key
-		resetTCB(&b.tcb0)
-		return &b.tcb0
-	}
-	if b.flows == nil {
-		b.flows = make(map[packet.Flow]*tcb)
-	}
-	var t *tcb
-	if n := len(b.free); n > 0 {
-		t = b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-	} else {
-		t = &tcb{}
-	}
-	b.flows[key] = t
-	return t
-}
-
-// dropFlow retires a dealt-with flow's TCB immediately instead of leaving
-// a tombstone for the maxFlows sweep. Semantically invisible: a torn TCB
-// ignores every packet, and an absent TCB ignores every packet except a
-// client SYN. Endpoints under long-horizon reconnect churn DO reuse
-// 4-tuples (the ephemeral-port counter wraps), but both TCB states handle
-// the reused tuple's SYN the same way: an absent TCB tracks it fresh, and a
-// present one re-tracks via the stale-TCB resync in processKeyed.
-func (b *Box) dropFlow(key packet.Flow, t *tcb) {
-	if t == &b.tcb0 {
-		b.have0 = false
-		return
-	}
-	delete(b.flows, key)
-	resetTCB(t)
-	b.free = append(b.free, t)
 }
 
 // resetTCB zeroes a TCB while keeping its reassembly buffer's capacity for
@@ -175,52 +109,50 @@ func resetTCB(t *tcb) {
 	t.stream = stream
 }
 
-// flowCount is the number of tracked flows across the inline slot and the
-// spill map.
-func (b *Box) flowCount() int {
-	n := len(b.flows)
-	if b.have0 {
-		n++
-	}
-	return n
-}
-
 // Name implements netsim.Middlebox.
 func (b *Box) Name() string { return "GFW-" + b.P.Protocol }
 
 // chance samples a Bernoulli with probability p.
 func (b *Box) chance(p float64) bool { return b.rng.Float64() < p }
 
-// Process implements netsim.Middlebox. Note it never looks at checksums:
-// insertion packets with corrupted checksums are processed like any other.
-func (b *Box) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
-	return b.processKeyed(pkt.Flow().Canonical(), pkt, dir, now)
+// Process implements netsim.Middlebox for a standalone box. Note it never
+// looks at checksums: insertion packets with corrupted checksums are
+// processed like any other.
+func (b *Box) Process(pkt *packet.Packet, _ netsim.Direction, now time.Duration) netsim.Verdict {
+	if b.solo == nil {
+		b.solo = &flowTable{}
+		b.solo.init(1)
+	}
+	key := pkt.Flow().Canonical()
+	rec, v := b.process(b.solo, 0, b.solo.lookup(key), key, pkt, now)
+	b.solo.settle(rec)
+	return v
 }
 
-// processKeyed is Process with the canonical flow key precomputed: the
-// composite GFW fans every packet to five boxes, and hashing the 4-tuple
-// once instead of five times is a measurable win at fleet scale.
-func (b *Box) processKeyed(key packet.Flow, pkt *packet.Packet, _ netsim.Direction, now time.Duration) netsim.Verdict {
+// process runs one packet through the box, whose TCBs live in slot of tbl.
+// rec is the packet's record (nil if no box tracks the flow); process
+// returns it, added if the packet started a flow. The caller settles the
+// record once every box sharing it has seen the packet.
+func (b *Box) process(tbl *flowTable, slot int, rec *flowRec, key packet.Flow, pkt *packet.Packet, now time.Duration) (*flowRec, netsim.Verdict) {
 	b.lastNow = now
-	t := b.lookup(key)
 
 	// TCB creation: only a client SYN creates state. Everything on an
 	// unknown flow is ignored (the GFW tracks connections; it does not
 	// censor stateless traffic, unlike India/Iran — §5.2).
-	if t == nil {
+	if rec == nil || rec.live&(1<<slot) == 0 {
 		if pkt.TCP.Flags == packet.FlagSYN {
-			if b.flowCount() >= maxFlows {
-				b.evict()
+			if tbl.count[slot] >= maxFlows {
+				n := tbl.evict(slot, maxFlows/2)
+				b.Evicted += n
+				b.m.evicted.Add(uint64(n))
 			}
-			t = b.addFlow(key)
-			t.clientAddr, t.clientPort = pkt.IP.Src, pkt.TCP.SrcPort
-			t.serverAddr, t.serverPort = pkt.IP.Dst, pkt.TCP.DstPort
-			t.clientISS = pkt.TCP.Seq
-			t.expClient = pkt.TCP.Seq + 1
-			t.reassembles = !b.chance(b.P.PNoReassembly)
+			var t *tcb
+			rec, t = tbl.track(rec, key, slot)
+			b.startFlow(t, pkt)
 		}
-		return netsim.Verdict{}
+		return rec, netsim.Verdict{}
 	}
+	t := &rec.tcbs[slot]
 
 	// Stale-TCB resync: a fresh client SYN with a *new* ISN on a tracked
 	// 4-tuple means the endpoint reused the port for a new connection (an
@@ -233,21 +165,32 @@ func (b *Box) processKeyed(key packet.Flow, pkt *packet.Packet, _ netsim.Directi
 	if pkt.TCP.Flags == packet.FlagSYN && t.fromClient(pkt) && pkt.TCP.Seq != t.clientISS {
 		b.m.tupleReuse.Inc()
 		resetTCB(t)
-		t.clientAddr, t.clientPort = pkt.IP.Src, pkt.TCP.SrcPort
-		t.serverAddr, t.serverPort = pkt.IP.Dst, pkt.TCP.DstPort
-		t.clientISS = pkt.TCP.Seq
-		t.expClient = pkt.TCP.Seq + 1
-		t.reassembles = !b.chance(b.P.PNoReassembly)
-		return netsim.Verdict{}
+		b.startFlow(t, pkt)
+		return rec, netsim.Verdict{}
 	}
 
 	v := b.dispatch(t, pkt, now)
 	if t.torn {
 		// The flow is dealt with (censored, torn down, or failed open):
 		// retire its TCB now rather than leaving a tombstone around.
-		b.dropFlow(key, t)
+		// Semantically invisible: a torn TCB ignores every packet, and an
+		// absent TCB ignores every packet except a client SYN. Endpoints
+		// under long-horizon reconnect churn DO reuse 4-tuples, but both
+		// handle the reused tuple's SYN the same way: an absent TCB tracks
+		// it fresh, and a present one re-tracks via the stale-TCB resync.
+		tbl.untrack(rec, slot)
 	}
-	return v
+	return rec, v
+}
+
+// startFlow starts tracking a connection in a zeroed TCB from its client
+// SYN.
+func (b *Box) startFlow(t *tcb, pkt *packet.Packet) {
+	t.clientAddr, t.clientPort = pkt.IP.Src, pkt.TCP.SrcPort
+	t.serverAddr, t.serverPort = pkt.IP.Dst, pkt.TCP.DstPort
+	t.clientISS = pkt.TCP.Seq
+	t.expClient = pkt.TCP.Seq + 1
+	t.reassembles = !b.chance(b.P.PNoReassembly)
 }
 
 // dispatch inspects one packet of a tracked, live flow.
@@ -584,34 +527,4 @@ func (b *Box) censorVerdict(t *tcb, note string) netsim.Verdict {
 	v.InjectToServer = append(v.InjectToServer,
 		censor.InjectRST(cliFlow, srvFlow, t.expClient, t.expServer))
 	return v
-}
-
-// evict trims the flow table: dealt-with (torn) flows first, then
-// arbitrary entries if the table is still full. The occasional live-flow
-// eviction is itself faithful to real on-path censors, whose shortcuts
-// under load are one source of the paper's baseline miss rates.
-func (b *Box) evict() {
-	if b.have0 && b.tcb0.torn {
-		b.have0 = false
-		b.Evicted++
-		b.m.evicted.Inc()
-	}
-	for k, t := range b.flows {
-		if t.torn {
-			delete(b.flows, k)
-			b.Evicted++
-			b.m.evicted.Inc()
-			if b.flowCount() < maxFlows/2 {
-				return
-			}
-		}
-	}
-	for k := range b.flows {
-		if b.flowCount() < maxFlows/2 {
-			return
-		}
-		delete(b.flows, k)
-		b.Evicted++
-		b.m.evicted.Inc()
-	}
 }

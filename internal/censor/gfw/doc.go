@@ -36,4 +36,13 @@
 // The entry probabilities of the resynchronization state are measured but
 // unexplained in the paper (~50% for most triggers); they are stochastic
 // parameters here, calibrated per box against Table 2 (see DESIGN.md).
+//
+// The boxes' TCB tables are independent in behaviour but shared in
+// storage: the GFW keeps one flow table whose record per canonical 4-tuple
+// holds each box's TCB and a per-box presence bit, so a packet costs one
+// flow lookup however many boxes see it. Each box still creates, retires
+// and evicts its own TCBs, in box order. A box retires a flow the moment
+// it is dealt with, so a box at its flow bound (maxFlows) evicts live
+// flows, oldest record first — a fixed order, never map iteration order,
+// so a run that overflows the table is as reproducible as any other.
 package gfw

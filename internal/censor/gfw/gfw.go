@@ -14,9 +14,13 @@ import (
 // one hop (§6, Figure 3b). Every box sees every packet — the GFW cannot
 // know the application protocol during the handshake, so all processing
 // engines track all flows — but only the box whose protocol matcher fires
-// ever censors, and no box fails closed.
+// ever censors, and no box fails closed. The boxes share one flow table,
+// so a packet's 4-tuple is looked up once however many boxes process it.
 type GFW struct {
+	// Boxes are the colocated boxes, at most five.
 	Boxes []*Box
+	// flows holds every box's TCBs: box i's in slot i of each record.
+	flows flowTable
 }
 
 // New builds the GFW with the calibrated China parameters. All boxes share
@@ -54,21 +58,27 @@ func (g *GFW) CensorshipEvents() int {
 // Process implements netsim.Middlebox by fanning the packet out to every
 // box and merging their verdicts. The GFW is on-path: it can inject but
 // never drop.
-func (g *GFW) Process(pkt *packet.Packet, dir netsim.Direction, now time.Duration) netsim.Verdict {
+func (g *GFW) Process(pkt *packet.Packet, _ netsim.Direction, now time.Duration) netsim.Verdict {
+	if g.flows.width == 0 {
+		g.flows.init(len(g.Boxes))
+	}
 	var out netsim.Verdict
 	var notes []string
-	// One canonical-key computation for all five boxes; the boxes also
+	// One flow lookup for all five boxes, in box order; the boxes also
 	// share the packet's memoized app view, so the payload is parsed at
 	// most once no matter how many boxes inspect it.
 	key := pkt.Flow().Canonical()
-	for _, b := range g.Boxes {
-		v := b.processKeyed(key, pkt, dir, now)
+	rec := g.flows.lookup(key)
+	for i, b := range g.Boxes {
+		var v netsim.Verdict
+		rec, v = b.process(&g.flows, i, rec, key, pkt, now)
 		out.InjectToClient = append(out.InjectToClient, v.InjectToClient...)
 		out.InjectToServer = append(out.InjectToServer, v.InjectToServer...)
 		if v.Note != "" {
 			notes = append(notes, b.P.Protocol+" box: "+v.Note)
 		}
 	}
+	g.flows.settle(rec)
 	out.Note = strings.Join(notes, "; ")
 	return out
 }

@@ -559,8 +559,8 @@ func TestFlowTableBounded(t *testing.T) {
 		p.TCP.Seq = uint32(i)
 		b.Process(p, netsim.ToServer, 0)
 	}
-	if b.flowCount() > maxFlows {
-		t.Errorf("flow table grew to %d entries (cap %d)", b.flowCount(), maxFlows)
+	if n := b.solo.count[0]; n > maxFlows {
+		t.Errorf("flow table grew to %d entries (cap %d)", n, maxFlows)
 	}
 	if b.Evicted == 0 {
 		t.Error("no evictions recorded despite overflow")
@@ -645,5 +645,66 @@ func TestTupleReuseResyncsStaleTCB(t *testing.T) {
 	)
 	if b2.Censored != 1 {
 		t.Errorf("retransmitted SYN disturbed the TCB: Censored = %d, want 1", b2.Censored)
+	}
+}
+
+// TestEvictionDeterministic overflows a box's flow table with live flows and
+// checks that eviction is a function of the packet sequence: two identical
+// runs keep the same survivors and count the same evictions, and the
+// survivors are the newest flows (eviction drops the oldest first). While
+// eviction ranged over a Go map, which flows survived changed from run to
+// run.
+func TestEvictionDeterministic(t *testing.T) {
+	const n = maxFlows + 500
+	// flow places flow i on its own client address and port.
+	flow := func(p *packet.Packet, i int) {
+		p.IP.Src = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		p.TCP.SrcPort = uint16(1024 + i%60000)
+	}
+	run := func() (survivors []bool, evicted int) {
+		b := deterministic(httpParamsAllOff())
+		s := mk(true, syn, 0, 0, "")
+		for i := 0; i < n; i++ {
+			flow(s, i)
+			s.TCP.Seq = uint32(i)
+			b.Process(s, netsim.ToServer, 0)
+		}
+		evicted = b.Evicted
+		// Probe every flow with a forbidden request in sequence: only a
+		// tracked flow can be censored.
+		req := mk(true, pa, 0, 0, forbiddenGET)
+		survivors = make([]bool, n)
+		for i := 0; i < n; i++ {
+			flow(req, i)
+			req.TCP.Seq = uint32(i) + 1
+			survivors[i] = len(b.Process(req, netsim.ToServer, 0).InjectToClient) > 0
+		}
+		return survivors, evicted
+	}
+	s1, e1 := run()
+	s2, e2 := run()
+	if e1 == 0 {
+		t.Fatal("no evictions recorded despite overflow")
+	}
+	if e1 != e2 {
+		t.Errorf("Evicted = %d then %d on identical runs", e1, e2)
+	}
+	differ, first := 0, -1
+	for i := range s1 {
+		if s1[i] != s2[i] {
+			if first < 0 {
+				first = i
+			}
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("identical runs kept different survivors: %d flows differ, first flow %d", differ, first)
+	}
+	// Oldest first: the evicted flows are exactly the first e1 SYNs.
+	for i, kept := range s1 {
+		if kept != (i >= e1) {
+			t.Fatalf("flow %d survived=%v, want only flows %d.. (the newest) to survive", i, kept, e1)
+		}
 	}
 }

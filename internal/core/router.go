@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"net/netip"
-	"sync"
 
 	"geneva/internal/packet"
 )
@@ -18,25 +17,16 @@ import (
 // the fallback (nil = no manipulation). Route lookup happens per flow and
 // is cached for the flow's lifetime so mid-connection packets keep their
 // strategy even if the table changes.
+//
+// A Router is single-owner, like the engines behind it: Route and
+// Outbound must not run concurrently. Each simulation owns its router.
 type Router struct {
-	mu       sync.RWMutex
 	routes   []route
 	fallback *Engine
 	flows    map[packet.Flow]*Engine
-	// pins override the prefix table per client address — the online
-	// selection control plane's delivery mechanism: the fleet pins the
-	// selected arm's engine to the client's address just before the
-	// client connects, and the pin is read when the server's first
-	// outbound packet opens the flow. A pin only affects NEW flows; flows
-	// already cached in `flows` keep the engine they started with, so
-	// re-pinning between a client's attempts never switches a strategy
-	// mid-connection.
-	pins map[netip.Addr]*Engine
 	// pass is the reusable pass-through result for flows with no engine,
 	// mirroring Engine's scratch: Outbound's result is only valid until
-	// the next call. Like the engines behind the routes (which keep
-	// per-engine scratch of their own), Outbound is single-caller; the
-	// mutex protects the route/flow tables, not the result buffer.
+	// the next call.
 	pass [1]*packet.Packet
 }
 
@@ -56,35 +46,11 @@ func NewRouter(fallback *Engine) *Router {
 // Route installs a strategy for clients within the prefix. More-specific
 // prefixes win; among equal lengths, the earlier installation wins.
 func (r *Router) Route(prefix netip.Prefix, s *Strategy, rng *rand.Rand) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.routes = append(r.routes, route{prefix: prefix, engine: NewEngine(s, rng)})
-}
-
-// PinClient overrides the route table for one client address: new flows to
-// that client use the given engine (nil e removes the pin, restoring prefix
-// routing). Existing flows are untouched — their engine was cached at first
-// packet. Engines are single-caller like the router itself; pinning the
-// same engine to several addresses is fine as long as Outbound stays
-// single-threaded (the cell model).
-func (r *Router) PinClient(client netip.Addr, e *Engine) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e == nil {
-		delete(r.pins, client)
-		return
-	}
-	if r.pins == nil {
-		r.pins = make(map[netip.Addr]*Engine)
-	}
-	r.pins[client] = e
 }
 
 // engineFor picks the engine for a destination (client) address.
 func (r *Router) engineFor(client netip.Addr) *Engine {
-	if e, ok := r.pins[client]; ok {
-		return e
-	}
 	var best *Engine
 	bestLen := -1
 	for _, rt := range r.routes {
@@ -103,13 +69,11 @@ func (r *Router) engineFor(client netip.Addr) *Engine {
 // is only valid until the next call (same contract as Engine.Outbound).
 func (r *Router) Outbound(p *packet.Packet) []*packet.Packet {
 	flow := p.Flow()
-	r.mu.Lock()
 	eng, ok := r.flows[flow]
 	if !ok {
 		eng = r.engineFor(p.IP.Dst)
 		r.flows[flow] = eng
 	}
-	r.mu.Unlock()
 	if eng == nil {
 		r.pass[0] = p
 		return r.pass[:1]
@@ -117,21 +81,5 @@ func (r *Router) Outbound(p *packet.Packet) []*packet.Packet {
 	return eng.Outbound(p)
 }
 
-// ResetFlows clears the per-flow engine cache and the per-client pins while
-// keeping the route table (and the compiled engines behind it) intact. It
-// is what lets a router be pooled and reused across independent
-// simulations: the routes are pure configuration, the flow cache and pins
-// are per-run state.
-func (r *Router) ResetFlows() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clear(r.flows)
-	clear(r.pins)
-}
-
 // Flows reports how many flows have pinned engines (for tests/metrics).
-func (r *Router) Flows() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.flows)
-}
+func (r *Router) Flows() int { return len(r.flows) }

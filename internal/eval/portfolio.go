@@ -6,6 +6,7 @@ import (
 
 	"geneva/internal/core"
 	"geneva/internal/lazyrand"
+	"geneva/internal/packet"
 	"geneva/internal/selector"
 )
 
@@ -30,12 +31,13 @@ func DefaultPortfolio() selector.Portfolio {
 }
 
 // PortfolioLease is a pooled set of per-arm engines for one portfolio (see
-// AcquirePortfolioEngines). Engines[a] runs the portfolio's arm a; the
-// fleet pins one of them to a client address per connection attempt.
+// AcquirePortfolioEngines). Outbound[a] is the outbound hook of the engine
+// running the portfolio's arm a, built once with the lease so handing it to
+// a connection (tcpstack.Conn.SetOutbound) allocates nothing.
 type PortfolioLease struct {
-	Engines []*core.Engine
-	rngs    []*rand.Rand
-	pool    *sync.Pool // the pool of this lease's portfolio
+	Outbound []func(*packet.Packet) []*packet.Packet
+	rngs     []*rand.Rand
+	pool     *sync.Pool // the pool of this lease's portfolio
 }
 
 // portfolioPools pools engine sets per portfolio identity (hash). Engine
@@ -47,9 +49,8 @@ var portfolioPools sync.Map // hash -> *sync.Pool
 // AcquirePortfolioEngines leases one engine per portfolio arm, rng-seeded
 // at seed + arm: seed is the stream of arm 0, and the caller owns the seed
 // schedule around it. A pooled lease only reseeds its engines' generators
-// (engines keep no other per-run state — flow pinning lives in the
-// router), so it is indistinguishable from newly built engines. Hand it
-// back with ReleasePortfolioEngines.
+// (engines keep no other per-run state), so it is indistinguishable from
+// newly built engines. Hand it back with ReleasePortfolioEngines.
 func AcquirePortfolioEngines(p selector.Portfolio, seed int64) *PortfolioLease {
 	poolAny, ok := portfolioPools.Load(p.Hash())
 	if !ok {
@@ -64,13 +65,13 @@ func AcquirePortfolioEngines(p selector.Portfolio, seed int64) *PortfolioLease {
 		return l
 	}
 	l := &PortfolioLease{
-		Engines: make([]*core.Engine, p.Len()),
-		rngs:    make([]*rand.Rand, p.Len()),
-		pool:    pool,
+		Outbound: make([]func(*packet.Packet) []*packet.Packet, p.Len()),
+		rngs:     make([]*rand.Rand, p.Len()),
+		pool:     pool,
 	}
 	for a := 0; a < p.Len(); a++ {
 		l.rngs[a] = lazyrand.Get(seed + int64(a))
-		l.Engines[a] = core.NewEngine(p.Strategy(a), l.rngs[a])
+		l.Outbound[a] = core.NewEngine(p.Strategy(a), l.rngs[a]).Outbound
 	}
 	return l
 }

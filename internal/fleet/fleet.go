@@ -1,12 +1,13 @@
 // Package fleet is the deployment-scale serving harness for the paper's §8
-// model: one server endpoint behind a core.Router serves a mixed-country,
-// mixed-protocol population of unmodified clients, picking each client's
-// strategy from nothing but the address in its SYN.
+// model: one server endpoint serves a mixed-country, mixed-protocol
+// population of unmodified clients, picking each client's strategy from
+// nothing but the address in its SYN.
 //
 // The workload is partitioned into cells. A cell is one shared virtual
-// network — one censor instance, one server whose core.Router serves routed
-// clients their strategy, and several client endpoints inside the same
-// country — on which connections run in waves of genuinely concurrent flows (their packets
+// network — one censor instance, one server that hands each routed
+// client's connection its strategy when it accepts the SYN, and several
+// client endpoints inside the same country — on which connections run in
+// waves of genuinely concurrent flows (their packets
 // interleave through the same censor, so per-flow TCB isolation and
 // cross-connection censor state are exercised for real: a GFW residual
 // window opened by one client's censored flow tears down other clients'
@@ -41,12 +42,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"geneva/internal/apps"
 	"geneva/internal/censor"
-	"geneva/internal/core"
 	"geneva/internal/eval"
 	"geneva/internal/lazyrand"
 	"geneva/internal/netsim"
@@ -658,14 +657,17 @@ type cell struct {
 	resid     censor.ResidualCarrier // non-nil iff the censor shares residual state
 	shifter   censor.ParamShifter    // non-nil iff the censor can shift mid-run
 	shifted   bool
-	router    *core.Router // pooled, route-free: delivery is by PinClient
 	rngs      []*rand.Rand
 
 	// Strategy delivery: one engine per portfolio arm, nil on unrouted
 	// cells (the uncensored population matches no route, so no server-side
-	// strategy applies to it). selCell and selRng are nil unless Selection
+	// strategy applies to it). pins[s] holds routed slot s's address and
+	// the arm of its next connection: pullArm sets the arm before each
+	// attempt, and the server reads it once, when it accepts a SYN from
+	// that address (pinFor). selCell and selRng are nil unless Selection
 	// is enabled.
 	arms    *eval.PortfolioLease
+	pins    []armPin
 	selCell *selector.Cell
 	selRng  *rand.Rand
 
@@ -683,6 +685,13 @@ type cell struct {
 	live       []inflight
 }
 
+// armPin is one routed client address and the portfolio arm its next
+// connection runs.
+type armPin struct {
+	addr netip.Addr
+	arm  int
+}
+
 // rng takes a pooled generator seeded with seed and remembers it for
 // release at cell finish.
 func (c *cell) rng(seed int64) *rand.Rand {
@@ -691,20 +700,14 @@ func (c *cell) rng(seed int64) *rand.Rand {
 	return r
 }
 
-// routerPool recycles the cells' route-free routers; ResetFlows at release
-// leaves only the flow-cache and pin-map capacity behind.
-var routerPool = sync.Pool{New: func() any { return core.NewRouter(nil) }}
-
-// newCell wires one cell — server + pooled router and portfolio engines,
-// censor, clients — without running anything. The construction order (and
-// thus every rng draw) is exactly the plan order, never scheduling order.
+// newCell wires one cell — server and portfolio engines, censor, clients —
+// without running anything. The construction order (and thus every rng
+// draw) is exactly the plan order, never scheduling order.
 func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	c := &cell{wl: wl, plan: cp}
 	cellSeed := wl.Seed + int64(cp.index)*cellSeedStride
 
 	c.server = tcpstack.NewEndpoint(eval.ServerAddr, tcpstack.DefaultServer, c.rng(cellSeed+seedServer))
-	c.router = routerPool.Get().(*core.Router)
-	c.server.Outbound = c.router.Outbound
 	c.server.ReleaseClosed = true
 
 	// Routed countries get one engine per portfolio arm; pullArm pins the
@@ -720,6 +723,10 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 			p, seed = ctl.portfolio, cellSeed+seedArmBase
 		}
 		c.arms = eval.AcquirePortfolioEngines(p, seed)
+		c.pins = make([]armPin, wl.ClientsPerCell)
+		for s := range c.pins {
+			c.pins[s].addr = clientAddr(cp.country, s, false)
+		}
 		if ctl.state != nil {
 			c.selCell = ctl.state.NewCell()
 			c.selRng = c.rng(cellSeed + seedSelector)
@@ -756,6 +763,9 @@ func newCell(wl Workload, cp cellPlan, ctl control) *cell {
 	c.clientFree = make(map[scriptKey][]*apps.Script, len(c.sessions))
 	c.serverFree = make(map[uint16][]*apps.Script, len(c.sessions))
 	c.server.NewServerApp = func(conn *tcpstack.Conn) tcpstack.App {
+		if pin := c.pinFor(conn.Flow().DstAddr); pin != nil {
+			conn.SetOutbound(c.arms.Outbound[pin.arm])
+		}
 		port := conn.Flow().SrcPort
 		if l := c.serverFree[port]; len(l) > 0 {
 			s := l[len(l)-1]
@@ -867,12 +877,13 @@ func (c *cell) releaseClient(key scriptKey, s *apps.Script) {
 }
 
 // pullArm picks the arm serving one connection attempt — arm 0, or the
-// selector's choice when selection is on — and pins its engine to the
-// client's address, so the router delivers it when the SYN+ACK opens the
-// flow. Unprotected clients and unrouted cells get no pin (and arm 0, which
-// nothing reads). Safe against concurrent wave-mates: each slot address has
-// at most one un-opened flow at a time, and opened flows cache their
-// engine, so re-pins never switch a strategy mid-connection.
+// selector's choice when selection is on — and pins it to the client's
+// address, so the server hands the arm's engine to the connection it
+// accepts from that address next. Unprotected clients and unrouted cells
+// get no pin (and arm 0, which nothing reads). Safe against concurrent
+// wave-mates: each slot address has at most one un-accepted connection at
+// a time, and an accepted connection keeps its engine, so re-pins never
+// switch a strategy mid-connection.
 func (c *cell) pullArm(cn *connPlan) int {
 	if c.arms == nil || cn.unprotected {
 		return 0
@@ -881,8 +892,22 @@ func (c *cell) pullArm(cn *connPlan) int {
 	if c.selCell != nil {
 		arm = c.selCell.Next(c.plan.country, cn.protocol, c.selRng)
 	}
-	c.router.PinClient(clientAddr(c.plan.country, cn.slot, false), c.arms.Engines[arm])
+	c.pins[cn.slot].arm = arm
 	return arm
+}
+
+// pinFor returns the pin of the routed client at address a, or nil for any
+// other client (unprotected ones, and every client of an unrouted cell). It
+// inverts clientAddr, which puts routed slot s at host octet 2+s.
+func (c *cell) pinFor(a netip.Addr) *armPin {
+	if !a.Is4() {
+		return nil
+	}
+	s := int(a.As4()[3]) - 2
+	if s < 0 || s >= len(c.pins) || c.pins[s].addr != a {
+		return nil
+	}
+	return &c.pins[s]
 }
 
 // runWave drives one wave of the cell to completion: advance the wave gap,
@@ -1086,15 +1111,13 @@ func (c *cell) settle(f *inflight, unprotected, mixed bool, start time.Duration)
 }
 
 // finish closes the cell out: stamp the censor's event total into the
-// tally, and hand the pooled router, engines and rngs back.
+// tally, and hand the pooled engines and rngs back.
 func (c *cell) finish() cellResult {
 	if c.cen != nil {
 		c.res.stats.CensorEvents = c.cen.CensoredCount()
 	}
-	c.router.ResetFlows()
-	routerPool.Put(c.router)
 	eval.ReleasePortfolioEngines(c.arms)
-	c.router, c.arms, c.selCell, c.selRng = nil, nil, nil, nil
+	c.arms, c.pins, c.selCell, c.selRng = nil, nil, nil, nil
 	for i, r := range c.rngs {
 		lazyrand.Put(r)
 		c.rngs[i] = nil

@@ -224,7 +224,7 @@ func TestFleetAllocBudget(t *testing.T) {
 	// The online-selection rung: the same one-shot shape with a
 	// three-strategy portfolio raced by the epsilon-greedy bandit. The
 	// control plane's whole steady-state cost is integer delta accumulation
-	// plus a router pin per attempt — pooled engines, reused scratch — so
+	// plus an arm pin per attempt — pooled engines, reused scratch — so
 	// its budget is the measured pinned cost plus 2 allocs/conn, not a
 	// separate absolute plateau.
 	sel := wl

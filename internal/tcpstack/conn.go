@@ -57,6 +57,9 @@ type Conn struct {
 	ep   *Endpoint
 	app  App
 	flow packet.Flow // local -> remote
+	// outbound, if set, replaces ep.Outbound for this connection's packets
+	// (SetOutbound).
+	outbound func(*packet.Packet) []*packet.Packet
 
 	state State
 
@@ -147,6 +150,36 @@ func (c *Conn) After(d time.Duration, fn func()) {
 	})
 }
 
+// SetOutbound overrides the endpoint's Outbound hook for this connection
+// alone: every packet it emits from now on goes through fn (nil restores
+// the endpoint's hook). A server sets it from NewServerApp, which runs
+// before the SYN+ACK leaves, so a strategy picked once per connection
+// covers all of its packets with no per-packet lookup. Recycling the
+// connection clears it.
+func (c *Conn) SetOutbound(fn func(*packet.Packet) []*packet.Packet) { c.outbound = fn }
+
+// transmit routes a stack-generated packet through the connection's
+// outbound hook (SetOutbound), else the endpoint's Outbound, onto the
+// network. Ownership of p (and of every packet the hook returns) passes to
+// the network, which may recycle them after delivery; hooks that keep a
+// packet beyond their return must Clone it.
+func (c *Conn) transmit(p *packet.Packet) {
+	mSegmentsSent.Inc()
+	hook := c.outbound
+	if hook == nil {
+		hook = c.ep.Outbound
+	}
+	if hook == nil {
+		c.ep.net.Send(c.ep, p)
+		return
+	}
+	for _, out := range hook(p) {
+		if out != nil {
+			c.ep.net.Send(c.ep, out)
+		}
+	}
+}
+
 // newPacket builds an outbound packet for this connection with the current
 // ack and window fields filled in. Packets come from the shared pool: once
 // transmitted they belong to the network, which recycles them on networks
@@ -176,7 +209,7 @@ func (c *Conn) sendSyn() {
 	c.sndNxt = c.iss + 1
 	c.sndUna = c.iss
 	c.trackRtx(p, c.iss+1)
-	c.ep.transmit(p)
+	c.transmit(p)
 }
 
 // sendSynAck emits a SYN+ACK. During simultaneous open the sequence number
@@ -195,7 +228,7 @@ func (c *Conn) sendSynAck() {
 	c.sndNxt = c.iss + 1
 	c.sndUna = c.iss
 	c.trackRtx(p, c.iss+1)
-	c.ep.transmit(p)
+	c.transmit(p)
 }
 
 // sendRst emits a bare RST with the given sequence number (the shape a
@@ -205,7 +238,7 @@ func (c *Conn) sendRst(seq uint32) {
 	p.TCP.Seq = seq
 	p.TCP.Ack = 0
 	p.TCP.Window = 0
-	c.ep.transmit(p)
+	c.transmit(p)
 }
 
 // Send queues application data and transmits as much as the peer's window
@@ -238,7 +271,7 @@ func (c *Conn) sendFin() {
 	p := c.newPacket(packet.FlagFIN | packet.FlagACK)
 	c.sndNxt++
 	c.trackRtx(p, c.sndNxt)
-	c.ep.transmit(p)
+	c.transmit(p)
 }
 
 // effectivePeerWindow returns the peer's advertised window, scaled if the
@@ -283,7 +316,7 @@ func (c *Conn) trySend() {
 		}
 		c.sndNxt += uint32(n)
 		c.trackRtx(p, c.sndNxt)
-		c.ep.transmit(p)
+		c.transmit(p)
 	}
 }
 
@@ -374,7 +407,7 @@ func (c *Conn) handleSynSent(pkt *packet.Packet) {
 		c.absorbSynPayload(t)
 		c.state = StateEstablished
 		ack := c.newPacket(packet.FlagACK)
-		c.ep.transmit(ack)
+		c.transmit(ack)
 		c.establish()
 		return
 	}
@@ -423,7 +456,7 @@ func (c *Conn) handleSynRcvd(pkt *packet.Packet) {
 			// handshake finishes too (Figure 1, Strategy 1).
 			c.absorbSynPayload(t)
 			ack := c.newPacket(packet.FlagACK)
-			c.ep.transmit(ack)
+			c.transmit(ack)
 		}
 		c.establish()
 		// Any data riding on the handshake-completing segment.
@@ -486,21 +519,21 @@ func (c *Conn) handleSynchronized(pkt *packet.Packet) {
 			c.rcvNxt += uint32(len(t.Payload))
 			c.received = append(c.received, t.Payload...)
 			ack := c.newPacket(packet.FlagACK)
-			c.ep.transmit(ack)
+			c.transmit(ack)
 			if c.app != nil {
 				c.app.OnData(c, t.Payload)
 			}
 		default:
 			// Out-of-order or stale data: re-ACK what we have.
 			ack := c.newPacket(packet.FlagACK)
-			c.ep.transmit(ack)
+			c.transmit(ack)
 		}
 	}
 
 	if t.Flags&packet.FlagFIN != 0 && t.Seq+uint32(len(t.Payload)) == c.rcvNxt {
 		c.rcvNxt++
 		ack := c.newPacket(packet.FlagACK)
-		c.ep.transmit(ack)
+		c.transmit(ack)
 		switch c.state {
 		case StateEstablished:
 			c.state = StateCloseWait

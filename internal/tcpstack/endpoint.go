@@ -21,7 +21,8 @@ type Endpoint struct {
 	// Outbound, if set, transforms every packet the stack emits into zero
 	// or more packets to place on the wire. This is the Geneva engine's
 	// attachment point (and the harness's client-instrumentation hook for
-	// the §5 follow-up experiments).
+	// the §5 follow-up experiments). Conn.SetOutbound overrides it for one
+	// connection.
 	Outbound func(*packet.Packet) []*packet.Packet
 	// Retransmit arms an RTO timer for every sequence-consuming segment
 	// (SYN, SYN+ACK, data, FIN): initialRTO, doubling, at most maxRetries
@@ -138,6 +139,8 @@ func (e *Endpoint) getConn() *Conn {
 // zeroed, because retransmission timer closures in flight captured this
 // *Conn and an old generation — the generation must keep monotonically
 // increasing across reuses for those stale closures to stay invalidated.
+// Every other field is zeroed, the SetOutbound hook included, so the next
+// tenant never runs the previous one's strategy.
 func (e *Endpoint) recycleConn(c *Conn) {
 	delete(e.conns, c.flow)
 	gen := c.rtxGen
@@ -146,23 +149,6 @@ func (e *Endpoint) recycleConn(c *Conn) {
 	received := c.received[:0]
 	*c = Conn{ep: e, state: StateClosed, closed: true, rtxGen: gen, appGen: appGen, sendQ: sendQ, received: received}
 	e.free = append(e.free, c)
-}
-
-// transmit routes a stack-generated packet through the Outbound hook onto
-// the network. Ownership of p (and of every packet the hook returns) passes
-// to the network, which may recycle them after delivery; hooks that keep a
-// packet beyond their return must Clone it.
-func (e *Endpoint) transmit(p *packet.Packet) {
-	mSegmentsSent.Inc()
-	if e.Outbound == nil {
-		e.net.Send(e, p)
-		return
-	}
-	for _, out := range e.Outbound(p) {
-		if out != nil {
-			e.net.Send(e, out)
-		}
-	}
 }
 
 // Receive implements netsim.Host: it validates the checksum markers, finds

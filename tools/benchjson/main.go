@@ -211,7 +211,8 @@ func main() {
 			"pop-modify-push cycle at a steady queue depth (allocs/op must " +
 			"stay 0 — the queue is a value slice), BenchmarkCensorProcess " +
 			"drives one canned forbidden HTTP connection per op through each " +
-			"registry censor; regenerate with `make bench-hotpath`"
+			"registry censor (the live=16 rows interleave 16 connections at " +
+			"once); regenerate with `make bench-hotpath`"
 		for name, r := range current {
 			switch {
 			case strings.HasPrefix(name, "BenchmarkEventQueue/"):
@@ -219,9 +220,11 @@ func main() {
 				out.Summary["event_queue_ns_depth"+depth] = round2(r.NsPerOp)
 				out.Summary["event_queue_allocs_depth"+depth] = r.AllocsPerOp
 			case strings.HasPrefix(name, "BenchmarkCensorProcess/"):
-				country := strings.TrimPrefix(name, "BenchmarkCensorProcess/")
-				out.Summary["censor_conn_ns_"+country] = round2(r.NsPerOp)
-				out.Summary["censor_conn_allocs_"+country] = r.AllocsPerOp
+				// "china/live=16" summarizes as "china_live16".
+				row := strings.NewReplacer("/", "_", "=", "").Replace(
+					strings.TrimPrefix(name, "BenchmarkCensorProcess/"))
+				out.Summary["censor_conn_ns_"+row] = round2(r.NsPerOp)
+				out.Summary["censor_conn_allocs_"+row] = r.AllocsPerOp
 			}
 		}
 	default:
